@@ -6,12 +6,8 @@
 //   --write_us N      emulated per-page write latency (µs)
 //   --threads  N      worker threads for parallel methods
 //   --work_dir PATH   where graph stores are materialized
-//   --kernel   K      intersection kernel: scalar|sse|avx2|bitmap|
-//                     bitmap_scalar|auto (default: leave the
-//                     auto-selected kernel in place)
-//   --hub_split S     hub/tail degree split for the bitmap kernels:
-//                     off|auto|pNN|<degree> (default auto; only
-//                     consulted under a bitmap kernel)
+//   --kernel   K      intersection kernel: scalar|sse|avx2|auto
+//                     (default: leave the auto-selected kernel in place)
 // The latency injection stands in for the paper's direct-I/O FlashSSD:
 // it makes I/O cost proportional to pages touched even when the OS page
 // cache would otherwise hide it (DESIGN.md §3).
@@ -29,7 +25,6 @@
 #include <unistd.h>
 #include <vector>
 
-#include "graph/hub_bitmap.h"
 #include "graph/intersect.h"
 #include "harness/datasets.h"
 #include "harness/methods.h"
@@ -54,9 +49,6 @@ struct BenchContext {
   uint32_t threads = 2;
   /// Set when --kernel was passed; already installed process-wide.
   std::optional<IntersectKernel> kernel;
-  /// Set when --hub_split was passed; already installed as the
-  /// process-wide default split.
-  std::optional<HubSplitSpec> hub_split;
   /// --json_out PATH: where the unified bench report goes ("" = none).
   std::string json_out;
 
@@ -85,8 +77,7 @@ inline BenchContext MakeContext(int argc, char** argv) {
                                            write_us);
   if (cl->Has("kernel")) {
     auto choice = cl->GetChoice(
-        "kernel", {"scalar", "sse", "avx2", "bitmap", "bitmap_scalar", "auto"},
-        "auto");
+        "kernel", {"scalar", "sse", "avx2", "auto"}, "auto");
     if (!choice.ok()) {
       std::fprintf(stderr, "%s\n", choice.status().ToString().c_str());
       std::exit(2);
@@ -97,15 +88,6 @@ inline BenchContext MakeContext(int argc, char** argv) {
       std::exit(2);
     }
     ctx.kernel = *kernel;
-  }
-  if (cl->Has("hub_split")) {
-    auto split = HubSplitSpec::Parse(cl->GetString("hub_split", "auto"));
-    if (!split.ok()) {
-      std::fprintf(stderr, "%s\n", split.status().ToString().c_str());
-      std::exit(2);
-    }
-    SetDefaultHubSplit(*split);
-    ctx.hub_split = *split;
   }
   return ctx;
 }

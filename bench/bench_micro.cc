@@ -1,19 +1,18 @@
 // Micro-benchmarks (google-benchmark): intersection kernels (one
 // benchmark per kernel variant, with elements/sec and bytes/sec from
-// the per-kernel dispatch counters), the hub-split sweep for the bitmap
-// hybrid (BM_HybridTriangles — run with --benchmark_filter=BM_Hybrid
-// --benchmark_format=json for the CI artifact), page codec, CRC, buffer
-// pool, async engine — the substrate costs behind the macro experiments.
+// the per-kernel dispatch counters), whole-graph triangle counts on
+// skewed graphs (BM_HybridTriangles — run with
+// --benchmark_filter=BM_Hybrid --benchmark_format=json for the CI
+// artifact), page codec, CRC, buffer pool, async engine — the substrate
+// costs behind the macro experiments.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "gen/erdos_renyi.h"
 #include "gen/holme_kim.h"
 #include "gen/rmat.h"
-#include "graph/hub_bitmap.h"
 #include "graph/intersect.h"
 #include "obs/perf_counters.h"
 #include "storage/async_io.h"
@@ -41,9 +40,9 @@ std::vector<VertexId> MakeSorted(size_t n, uint64_t seed) {
 /// dispatch counters (not wall-clock math), so `--benchmark_format=json`
 /// output (BENCH_*.json) carries directly comparable kernel throughput.
 /// The PMU delta adds the per-element hardware view (cycles, LLC misses)
-/// that distinguishes a memory-bound merge from a cache-resident bitmap
-/// probe — columns appear only when the backend delivers the event, so
-/// a missing llc_miss_per_elem means "no PMU", not "no misses".
+/// that tells a memory-bound kernel from a compute-bound one — columns
+/// appear only when the backend delivers the event, so a missing
+/// llc_miss_per_elem means "no PMU", not "no misses".
 void ReportFromCounters(benchmark::State& state,
                         const IntersectCounters& before,
                         const PerfReading& perf_before) {
@@ -127,13 +126,6 @@ void BM_IntersectAdaptive(benchmark::State& state) {
 BENCHMARK(BM_IntersectAdaptive)->Args({64, 64})->Args({64, 4096})
     ->Args({1024, 1024});
 
-void BM_IntersectBitmapSparseKernel(benchmark::State& state,
-                                    IntersectKernel kernel, size_t sparse_len,
-                                    size_t dense_len);
-void BM_IntersectBitmapDenseKernel(benchmark::State& state,
-                                   IntersectKernel kernel, size_t len_a,
-                                   size_t len_b);
-
 /// Registers merge/galloping benchmarks for every kernel the host CPU
 /// supports — unsupported kernels are omitted rather than silently
 /// falling back, so each reported row really measured its kernel.
@@ -161,103 +153,25 @@ void RegisterIntersectKernelBenchmarks() {
           });
     }
   }
-  // Bitmap kernels: sparse probe at skewed ratios, dense × dense at
-  // hub-like sizes.
-  for (IntersectKernel kernel :
-       {IntersectKernel::kBitmapScalar, IntersectKernel::kBitmap}) {
-    if (!IntersectKernelSupported(kernel)) continue;
-    const std::string name = IntersectKernelName(kernel);
-    for (const auto& [len_a, len_b] : kSizes) {
-      benchmark::RegisterBenchmark(
-          ("BM_IntersectBitmapSparse<" + name + ">/" +
-           std::to_string(len_a) + "x" + std::to_string(len_b))
-              .c_str(),
-          [kernel, la = len_a, lb = len_b](benchmark::State& state) {
-            BM_IntersectBitmapSparseKernel(state, kernel, la, lb);
-          });
-    }
-    for (size_t len : {size_t{1024}, size_t{16384}}) {
-      benchmark::RegisterBenchmark(
-          ("BM_IntersectBitmapDense<" + name + ">/" + std::to_string(len) +
-           "x" + std::to_string(len))
-              .c_str(),
-          [kernel, len](benchmark::State& state) {
-            BM_IntersectBitmapDenseKernel(state, kernel, len, len);
-          });
-    }
-  }
 }
 
-void BM_IntersectBitmapSparseKernel(benchmark::State& state,
-                                    IntersectKernel kernel, size_t sparse_len,
-                                    size_t dense_len) {
-  auto sparse = MakeSorted(sparse_len, 1);
-  auto dense_ids = MakeSorted(dense_len, 2);
-  DenseBitmap dense(std::max(sparse.back(), dense_ids.back()) + 1);
-  dense.SetFrom(dense_ids);
-  const IntersectCounters before = SnapshotIntersectCounters();
-  const PerfReading perf_before = ReadThreadPerfCounters();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        IntersectCountBitmapSparseWith(kernel, sparse, dense));
-  }
-  ReportFromCounters(state, before, perf_before);
-}
-
-void BM_IntersectBitmapDenseKernel(benchmark::State& state,
-                                   IntersectKernel kernel, size_t len_a,
-                                   size_t len_b) {
-  auto ids_a = MakeSorted(len_a, 1);
-  auto ids_b = MakeSorted(len_b, 2);
-  const VertexId universe = std::max(ids_a.back(), ids_b.back()) + 1;
-  DenseBitmap a(universe), b(universe);
-  a.SetFrom(ids_a);
-  b.SetFrom(ids_b);
-  const IntersectCounters before = SnapshotIntersectCounters();
-  const PerfReading perf_before = ReadThreadPerfCounters();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        IntersectCountBitmapDenseWith(kernel, a, b, 0, universe - 1));
-  }
-  ReportFromCounters(state, before, perf_before);
-}
-
-/// Hub-split sweep on skewed synthetic graphs: a full edge-iterator
-/// triangle count through the *routed* entry points, one benchmark per
-/// (graph, kernel, split). The equal-count check against the scalar
-/// merge oracle runs every iteration — a mismatch fails the row.
-uint64_t CountAllRouted(const CSRGraph& g) {
-  uint64_t triangles = 0;
-  for (VertexId u = 0; u < g.num_vertices(); ++u) {
-    const auto succ_u = g.Successors(u);
-    for (VertexId v : succ_u) {
-      triangles += IntersectCount(u, v, succ_u, g.Successors(v));
-    }
-  }
-  return triangles;
-}
-
+/// Whole-graph edge-iterator triangle count on a skewed synthetic graph
+/// through the adaptive Intersect entry point. The equal-count check
+/// against the scalar merge oracle runs every iteration — a mismatch
+/// fails the row. The rows keep their historical `/merge` names so the
+/// committed baseline (BENCH_micro.json) still keys them.
 void BM_HybridTriangles(benchmark::State& state, const CSRGraph* g,
-                        IntersectKernel kernel, const std::string& split_text,
                         uint64_t expected) {
-  if (Status s = SetIntersectKernel(kernel); !s.ok()) {
-    state.SkipWithError(s.ToString().c_str());
-    return;
-  }
-  HubBitmapIndex index;
-  if (IsBitmapKernel(kernel)) {
-    auto split = HubSplitSpec::Parse(split_text);
-    if (!split.ok()) {
-      state.SkipWithError(split.status().ToString().c_str());
-      return;
-    }
-    index = HubBitmapIndex::Build(*g, *split);
-  }
-  HubRoutingScope scope(index.num_hubs() > 0 ? &index : nullptr);
   const IntersectCounters before = SnapshotIntersectCounters();
   const PerfReading perf_before = ReadThreadPerfCounters();
   for (auto _ : state) {
-    const uint64_t triangles = CountAllRouted(*g);
+    uint64_t triangles = 0;
+    for (VertexId u = 0; u < g->num_vertices(); ++u) {
+      const auto succ_u = g->Successors(u);
+      for (VertexId v : succ_u) {
+        triangles += IntersectCount(succ_u, g->Successors(v));
+      }
+    }
     if (triangles != expected) {
       state.SkipWithError("triangle count mismatch vs merge oracle");
       break;
@@ -265,17 +179,9 @@ void BM_HybridTriangles(benchmark::State& state, const CSRGraph* g,
     benchmark::DoNotOptimize(triangles);
   }
   ReportFromCounters(state, before, perf_before);
-  state.counters["hubs"] =
-      benchmark::Counter(static_cast<double>(index.num_hubs()));
-  state.counters["hub_threshold"] = benchmark::Counter(
-      index.num_hubs() > 0 ? static_cast<double>(index.degree_threshold())
-                           : 0.0);
-  state.counters["bitmap_bytes"] =
-      benchmark::Counter(static_cast<double>(index.memory_bytes()));
-  (void)SetIntersectKernel(IntersectKernel::kAuto);
 }
 
-void RegisterHybridHubSweepBenchmarks() {
+void RegisterHybridTriangleBenchmarks() {
   struct SweepGraph {
     std::string name;
     CSRGraph graph;
@@ -309,26 +215,11 @@ void RegisterHybridHubSweepBenchmarks() {
   for (const auto& sweep : *graphs) {
     const CSRGraph* g = &sweep.graph;
     const uint64_t expected = sweep.expected;
-    // Merge baseline the hybrid rows are compared against.
     benchmark::RegisterBenchmark(
         ("BM_HybridTriangles<" + sweep.name + ">/merge").c_str(),
         [g, expected](benchmark::State& state) {
-          BM_HybridTriangles(state, g, IntersectKernel::kAuto, "off",
-                             expected);
+          BM_HybridTriangles(state, g, expected);
         });
-    for (IntersectKernel kernel :
-         {IntersectKernel::kBitmapScalar, IntersectKernel::kBitmap}) {
-      if (!IntersectKernelSupported(kernel)) continue;
-      for (const char* split : {"off", "p90", "p99", "auto", "0"}) {
-        benchmark::RegisterBenchmark(
-            ("BM_HybridTriangles<" + sweep.name + ">/" +
-             IntersectKernelName(kernel) + "/" + split)
-                .c_str(),
-            [g, kernel, split, expected](benchmark::State& state) {
-              BM_HybridTriangles(state, g, kernel, split, expected);
-            });
-      }
-    }
   }
 }
 
@@ -381,14 +272,14 @@ BENCHMARK(BM_PageParse);
 void BM_BufferPoolLookup(benchmark::State& state) {
   BufferPool pool(4096, 256);
   for (uint32_t pid = 0; pid < 128; ++pid) {
-    auto frame = pool.AllocateForRead(pid);
-    pool.MarkValid(*frame);
-    pool.Unpin(*frame);
+    auto fetched = pool.Fetch(pid);
+    pool.MarkValid(fetched->frame);
+    pool.Unpin(fetched->frame);
   }
   uint32_t pid = 0;
   for (auto _ : state) {
-    Frame* f = pool.LookupAndPin(pid % 128);
-    pool.Unpin(f);
+    auto fetched = pool.Fetch(pid % 128);
+    pool.Unpin(fetched->frame);
     ++pid;
   }
 }
@@ -414,7 +305,7 @@ BENCHMARK(BM_DegreeOrderedEdgeIteratorWork);
 
 int main(int argc, char** argv) {
   opt::RegisterIntersectKernelBenchmarks();
-  opt::RegisterHybridHubSweepBenchmarks();
+  opt::RegisterHybridTriangleBenchmarks();
   benchmark::Initialize(&argc, argv);
   // Which rung produced the PMU columns (the JSON context block carries
   // it, so baselines record whether cycles/LLC data was real hardware).

@@ -9,8 +9,9 @@
 #   - bench_shard_throughput  → BENCH_shard.json    (speedup ratio and
 #     error/partial counts enforced; qps/latency informational unless
 #     the host fingerprint matches the baseline's)
-#   - bench_micro (BM_Hybrid) → BENCH_micro.json    (items/sec,
-#     informational across hosts)
+#   - bench_micro (BM_Hybrid) → BENCH_micro.json    (items/sec of the
+#     whole-graph triangle counts on rmat12 / holme_kim12 through the
+#     adaptive merge/galloping kernels; informational across hosts)
 # Each experiment runs twice and bench_check judges best-of-2, so one
 # noisy CI run cannot flake the gate. A final self-test doctors a fresh
 # file into a regression and asserts the gate actually fails on it.

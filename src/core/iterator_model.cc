@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "graph/hub_bitmap.h"
 #include "graph/intersect.h"
 
 namespace opt {
@@ -21,9 +20,7 @@ void EdgeIteratorModel::InternalTriangles(const PageRangeView& internal,
     if (v > plan.v_hi) break;  // sorted: the rest are external pairs
     const AdjacencyRef av = internal.Get(v);
     scratch->intersection.clear();
-    // Hub-routed: both spans are slices of full adjacencies, so the
-    // bitmap path (when v or u is a hub) is exact.
-    Intersect(u, v, succ_u, av.succ(), &scratch->intersection);
+    Intersect(succ_u, av.succ(), &scratch->intersection);
     if (!scratch->intersection.empty()) {
       sink->Emit(u, v, scratch->intersection);
     }
@@ -57,11 +54,8 @@ void EdgeIteratorModel::ExternalTriangles(const PageRangeView& internal,
     const VertexId u = *it;
     const AdjacencyRef au = internal.Get(u);
     scratch->intersection.clear();
-    // Algorithm 10: W_uv = n_succ(u) ∩ n_succ(v). Hub-routed: u is an
-    // internal vertex (it may own a bitmap); the external vertex never
-    // does, so this pair takes at most the sparse-probe path.
-    Intersect(u, external_vertex, au.succ(), succ_v,
-              &scratch->intersection);
+    // Algorithm 10: W_uv = n_succ(u) ∩ n_succ(v).
+    Intersect(au.succ(), succ_v, &scratch->intersection);
     if (!scratch->intersection.empty()) {
       sink->Emit(u, external_vertex, scratch->intersection);
     }

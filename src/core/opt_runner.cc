@@ -33,15 +33,9 @@ struct RunCounters {
   Counter* external_cache_hits =
       Metrics().GetCounter("opt.external.cache_hits");
   /// Per-kernel intersection activity (opt.intersect.<kernel>.calls /
-  /// .elements — the bitmap.* counters of the hub path live here too).
+  /// .elements).
   Counter* intersect_calls[kNumIntersectKernels];
   Counter* intersect_elements[kNumIntersectKernels];
-  /// Hub routing: bitmaps materialized, and the last run's footprint.
-  Counter* hub_bitmaps_built = Metrics().GetCounter("opt.hub.bitmaps_built");
-  Gauge* hub_bitmap_peak_bytes =
-      Metrics().GetGauge("opt.hub.bitmap_peak_bytes");
-  Gauge* hub_degree_threshold =
-      Metrics().GetGauge("opt.hub.degree_threshold");
   /// PMU deltas (DESIGN.md §13). Totals plus a per-phase breakdown so
   /// STATS can answer "where do the cycles go" without a trace. The
   /// populated subset depends on perf.backend — cycles/LLC columns stay
@@ -102,13 +96,6 @@ void PublishRunStats(const OptRunStats& stats) {
     counters.intersect_calls[k]->Increment(stats.intersect.calls[k]);
     counters.intersect_elements[k]->Increment(stats.intersect.elements[k]);
   }
-  if (stats.hub_bitmaps_built > 0) {
-    counters.hub_bitmaps_built->Increment(stats.hub_bitmaps_built);
-    counters.hub_bitmap_peak_bytes->Set(
-        static_cast<int64_t>(stats.hub_bitmap_peak_bytes));
-    counters.hub_degree_threshold->Set(
-        static_cast<int64_t>(stats.hub_degree_threshold));
-  }
   const PerfReading total = stats.PerfTotal();
   counters.perf_cycles->Increment(total.cycles);
   counters.perf_instructions->Increment(total.instructions);
@@ -164,12 +151,6 @@ struct RunContext {
   std::vector<Frame*> internal_frames;
   std::vector<const char*> internal_page_data;
   PageRangeView internal_view;
-
-  // Hub routing (bitmap kernels): rebuilt from the internal view at the
-  // end of phase B, read-only while phase C workers run, so no
-  // synchronization is needed beyond the thread spawn/join edges.
-  bool hub_routing = false;
-  HubBitmapIndex hub_index;
 
   std::mutex candidate_mutex;
   std::vector<VertexId> candidates;
@@ -270,7 +251,6 @@ void CollectCandidatesFromPage(RunContext* ctx, const char* data) {
 void ProcessInternalPage(RunContext* ctx, uint32_t page_index,
                          ModelScratch* scratch) {
   Stopwatch watch;
-  HubRoutingScope hub_scope(ctx->hub_routing ? &ctx->hub_index : nullptr);
   OverlapProfiler::SetWork(/*internal_work=*/true);
   if (!ctx->CheckCancel()) {
     PageView page(ctx->internal_page_data[page_index],
@@ -336,7 +316,6 @@ void PumpExternal(RunContext* ctx) {
 void ProcessChunk(RunContext* ctx, Chunk chunk,
                   std::vector<Frame*> frames) {
   Stopwatch watch;
-  HubRoutingScope hub_scope(ctx->hub_routing ? &ctx->hub_index : nullptr);
   TraceSpan chunk_span(
       "opt", "external.chunk",
       CurrentTraceRecorder() != nullptr
@@ -647,25 +626,6 @@ Status OptRunner::Run(TriangleSink* sink, OptRunStats* stats) {
   ctx.flight = options_.flight;
 
   OptRunStats run_stats;
-  // Hub routing applies only under a bitmap kernel. Resolve the split
-  // against the store's full-degree histogram once per run; per-hub
-  // bitmaps are then materialized each iteration from the internal area.
-  if (IsBitmapKernel(ActiveIntersectKernel())) {
-    const HubSplitSpec split = options_.hub_split.has_value()
-                                   ? *options_.hub_split
-                                   : DefaultHubSplit();
-    if (split.mode != HubSplitSpec::Mode::kOff) {
-      OPT_ASSIGN_OR_RETURN(const std::vector<uint32_t> degrees,
-                           store_->ComputeDegrees());
-      const uint32_t threshold = ResolveHubDegreeThreshold(
-          split, degrees, store_->num_vertices());
-      if (threshold != kNoHubThreshold) {
-        ctx.hub_index.Reset(store_->num_vertices(), threshold);
-        ctx.hub_routing = true;
-        run_stats.hub_degree_threshold = threshold;
-      }
-    }
-  }
   const VertexId n = store_->num_vertices();
   VertexId v_start = 0;
   while (v_start < n && !ctx.CheckCancel()) {
@@ -786,22 +746,6 @@ Status OptRunner::Run(TriangleSink* sink, OptRunStats* stats) {
       ctx.RecordError(view_status);
       for (Frame* f : ctx.internal_frames) pool->Unpin(f);
       break;
-    }
-
-    // Materialize this iteration's hub bitmaps from the internal view —
-    // after the view is built, before any phase C thread spawns, so the
-    // index is immutable while workers read it through HubRoutingScope.
-    if (ctx.hub_routing) {
-      ctx.hub_index.Clear();
-      for (VertexId v = ctx.plan.v_lo; v <= ctx.plan.v_hi; ++v) {
-        if (ctx.internal_view.HasFull(v)) {
-          ctx.hub_index.Add(v, ctx.internal_view.Get(v).all);
-        }
-      }
-      run_stats.hub_bitmaps_built += ctx.hub_index.num_hubs();
-      run_stats.hub_bitmap_peak_bytes = std::max(
-          run_stats.hub_bitmap_peak_bytes,
-          static_cast<uint64_t>(ctx.hub_index.memory_bytes()));
     }
 
     std::sort(ctx.candidates.begin(), ctx.candidates.end());

@@ -15,7 +15,6 @@
 
 #include "core/iterator_model.h"
 #include "core/triangle_sink.h"
-#include "graph/hub_bitmap.h"
 #include "graph/intersect.h"
 #include "obs/flight_recorder.h"
 #include "obs/overlap_profiler.h"
@@ -60,13 +59,6 @@ struct OptOptions {
   /// start. Selection is process-wide, so concurrent runners with
   /// different explicit kernels will interleave.
   std::optional<IntersectKernel> kernel;
-  /// Hub/tail split for the bitmap kernels (`--hub_split`). Only
-  /// consulted when the active kernel is a bitmap kernel: the run scans
-  /// the store's degree histogram once, resolves the split to a degree
-  /// threshold, and materializes per-hub bitmaps each iteration from the
-  /// internal area. Unset falls back to the process-wide default
-  /// (SetDefaultHubSplit, itself defaulting to `auto`).
-  std::optional<HubSplitSpec> hub_split;
   /// Externally owned pool (service mode). Pages survive across runs,
   /// so repeated queries hit instead of re-reading — the Δ I/O saving
   /// amortized across a workload — and concurrent queries share frames.
@@ -140,10 +132,7 @@ struct OptRunStats {
   double parallel_seconds = 0;
   /// Summed per-kernel intersection counters across iterations.
   IntersectCounters intersect;
-  /// Hub routing (bitmap kernels only; all zero otherwise): the degree
-  /// threshold the split resolved to, bitmaps materialized summed across
-  /// iterations, and the largest bitmap footprint of any iteration.
-  uint32_t hub_degree_threshold = 0;
+  /// Always zero since the hub-bitmap kernels were removed; kept for readers.
   uint64_t hub_bitmaps_built = 0;
   uint64_t hub_bitmap_peak_bytes = 0;
   std::vector<IterationStats> per_iteration;

@@ -432,148 +432,7 @@ __attribute__((target("avx2"))) size_t LowerBoundAvx2(const VertexId* data,
   return lo;
 }
 
-/// AND + population count over `n` 64-bit words, 4 words (one 32-byte
-/// lane) per iteration via the nibble-lookup popcount (two
-/// _mm256_shuffle_epi8 table probes per lane, horizontally reduced with
-/// _mm256_sad_epu8 each iteration so the byte accumulators cannot
-/// overflow). The tail runs scalar, so callers need no padding.
-__attribute__((target("avx2"))) uint64_t PopcountAndAvx2(const uint64_t* a,
-                                                         const uint64_t* b,
-                                                         size_t n) {
-  const __m256i lookup =
-      _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, 0, 1,
-                       1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
-  const __m256i low_mask = _mm256_set1_epi8(0x0f);
-  const __m256i zero = _mm256_setzero_si256();
-  __m256i acc = zero;
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    const __m256i v = _mm256_and_si256(va, vb);
-    const __m256i lo = _mm256_and_si256(v, low_mask);
-    const __m256i hi = _mm256_and_si256(_mm256_srli_epi32(v, 4), low_mask);
-    const __m256i counts = _mm256_add_epi8(_mm256_shuffle_epi8(lookup, lo),
-                                           _mm256_shuffle_epi8(lookup, hi));
-    acc = _mm256_add_epi64(acc, _mm256_sad_epu8(counts, zero));
-  }
-  alignas(32) uint64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  uint64_t total = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-  for (; i < n; ++i) total += __builtin_popcountll(a[i] & b[i]);
-  return total;
-}
-
 #endif  // OPT_INTERSECT_X86
-
-// ---------------------------------------------------------------------------
-// Bitmap kernel bodies (portable parts).
-// ---------------------------------------------------------------------------
-
-uint64_t PopcountAndScalar(const uint64_t* a, const uint64_t* b, size_t n) {
-  uint64_t total = 0;
-  for (size_t i = 0; i < n; ++i) {
-    total += static_cast<uint64_t>(__builtin_popcountll(a[i] & b[i]));
-  }
-  return total;
-}
-
-/// Probes each id of `sparse` against the bitmap. Consecutive duplicates
-/// are skipped (set semantics); ids beyond the universe never match.
-/// Probing is inherently scalar — both bitmap kernels share this body;
-/// they differ only in the dense × dense popcount path.
-template <class Emitter>
-void BitmapSparseProbe(std::span<const VertexId> sparse,
-                       const DenseBitmap& dense, Emitter& emit) {
-  const VertexId universe = dense.universe();
-  bool have_prev = false;
-  VertexId prev = 0;
-  for (VertexId v : sparse) {
-    if (have_prev && v == prev) continue;
-    have_prev = true;
-    prev = v;
-    if (v < universe && dense.Test(v)) emit.Emit(v);
-  }
-}
-
-/// Word range + edge masks for the value interval [lo, hi], clamped to
-/// the words both bitmaps actually have. Returns false when the clamped
-/// interval is empty.
-struct WordRange {
-  size_t word_lo, word_hi;       // inclusive word indices
-  uint64_t first_mask, last_mask;
-};
-
-bool ClampWordRange(const DenseBitmap& a, const DenseBitmap& b, VertexId lo,
-                    uint64_t hi, WordRange* r) {
-  const size_t nwords = std::min(a.words().size(), b.words().size());
-  if (nwords == 0) return false;
-  const uint64_t max_bit = static_cast<uint64_t>(nwords) * 64 - 1;
-  const uint64_t lo64 = lo;
-  const uint64_t hi64 = std::min<uint64_t>(hi, max_bit);
-  if (lo64 > hi64) return false;
-  r->word_lo = static_cast<size_t>(lo64 >> 6);
-  r->word_hi = static_cast<size_t>(hi64 >> 6);
-  r->first_mask = ~uint64_t{0} << (lo64 & 63);
-  r->last_mask = (hi64 & 63) == 63
-                     ? ~uint64_t{0}
-                     : ((uint64_t{1} << ((hi64 & 63) + 1)) - 1);
-  return true;
-}
-
-uint64_t CountAndRange(IntersectKernel resolved, const DenseBitmap& a,
-                       const DenseBitmap& b, VertexId lo, VertexId hi) {
-  WordRange r;
-  if (!ClampWordRange(a, b, lo, hi, &r)) return 0;
-  const uint64_t* pa = a.words().data();
-  const uint64_t* pb = b.words().data();
-  if (r.word_lo == r.word_hi) {
-    return static_cast<uint64_t>(__builtin_popcountll(
-        pa[r.word_lo] & pb[r.word_lo] & r.first_mask & r.last_mask));
-  }
-  uint64_t total = static_cast<uint64_t>(__builtin_popcountll(
-                       pa[r.word_lo] & pb[r.word_lo] & r.first_mask)) +
-                   static_cast<uint64_t>(__builtin_popcountll(
-                       pa[r.word_hi] & pb[r.word_hi] & r.last_mask));
-  const size_t interior = r.word_hi - r.word_lo - 1;
-  if (interior > 0) {
-#ifdef OPT_INTERSECT_X86
-    if (resolved == IntersectKernel::kBitmap) {
-      return total +
-             PopcountAndAvx2(pa + r.word_lo + 1, pb + r.word_lo + 1, interior);
-    }
-#endif
-    (void)resolved;
-    total += PopcountAndScalar(pa + r.word_lo + 1, pb + r.word_lo + 1,
-                               interior);
-  }
-  return total;
-}
-
-/// Materializing dense × dense: AND each word in range, then extract set
-/// bits lowest-first (ctz + clear-lowest), which yields sorted output.
-/// Extraction is scalar for both bitmap kernels.
-template <class Emitter>
-void ExtractAndRange(const DenseBitmap& a, const DenseBitmap& b, VertexId lo,
-                     VertexId hi, Emitter& emit) {
-  WordRange r;
-  if (!ClampWordRange(a, b, lo, hi, &r)) return;
-  const uint64_t* pa = a.words().data();
-  const uint64_t* pb = b.words().data();
-  for (size_t w = r.word_lo; w <= r.word_hi; ++w) {
-    uint64_t bits = pa[w] & pb[w];
-    if (w == r.word_lo) bits &= r.first_mask;
-    if (w == r.word_hi) bits &= r.last_mask;
-    const uint64_t base = static_cast<uint64_t>(w) * 64;
-    while (bits != 0) {
-      emit.Emit(static_cast<VertexId>(
-          base + static_cast<uint64_t>(__builtin_ctzll(bits))));
-      bits &= bits - 1;
-    }
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Feature detection + dispatch table.
@@ -582,7 +441,6 @@ void ExtractAndRange(const DenseBitmap& a, const DenseBitmap& b, VertexId lo,
 bool CpuSupports(IntersectKernel kernel) {
   switch (kernel) {
     case IntersectKernel::kScalar:
-    case IntersectKernel::kBitmapScalar:
     case IntersectKernel::kAuto:
       return true;
     case IntersectKernel::kSse:
@@ -592,7 +450,6 @@ bool CpuSupports(IntersectKernel kernel) {
       return false;
 #endif
     case IntersectKernel::kAvx2:
-    case IntersectKernel::kBitmap:
 #ifdef OPT_INTERSECT_X86
       return __builtin_cpu_supports("avx2");
 #else
@@ -639,28 +496,10 @@ void GallopDispatch(IntersectKernel kernel, std::span<const VertexId> a,
   }
 }
 
-/// kAuto → best supported; unsupported concrete kernel → scalar. The
-/// bitmap kernels only exist for the bitmap entry points, so a raw
-/// sorted-span call under an active bitmap kernel falls back to the
-/// matching merge tier: kBitmap (AVX2 popcount) → best merge kernel,
-/// kBitmapScalar → scalar merge. This is what the long tail runs when
-/// hub routing declines a pair.
+/// kAuto → best supported; unsupported concrete kernel → scalar.
 IntersectKernel ResolveKernel(IntersectKernel kernel) {
   if (kernel == IntersectKernel::kAuto) return BestIntersectKernel();
-  if (kernel == IntersectKernel::kBitmap) return BestIntersectKernel();
-  if (kernel == IntersectKernel::kBitmapScalar) return IntersectKernel::kScalar;
   return CpuSupports(kernel) ? kernel : IntersectKernel::kScalar;
-}
-
-/// Degrades kBitmap to kBitmapScalar on hosts without AVX2 and maps any
-/// non-bitmap kernel to kBitmapScalar, so the bitmap entry points are
-/// safe to call with anything (mirroring the merge entry points).
-IntersectKernel ResolveBitmapKernel(IntersectKernel kernel) {
-  if (kernel == IntersectKernel::kBitmap &&
-      CpuSupports(IntersectKernel::kBitmap)) {
-    return IntersectKernel::kBitmap;
-  }
-  return IntersectKernel::kBitmapScalar;
 }
 
 }  // namespace
@@ -677,10 +516,6 @@ const char* IntersectKernelName(IntersectKernel kernel) {
       return "sse";
     case IntersectKernel::kAvx2:
       return "avx2";
-    case IntersectKernel::kBitmap:
-      return "bitmap";
-    case IntersectKernel::kBitmapScalar:
-      return "bitmap_scalar";
     case IntersectKernel::kAuto:
       return "auto";
   }
@@ -703,23 +538,16 @@ IntersectKernel BestIntersectKernel() {
 Result<IntersectKernel> ParseIntersectKernel(const std::string& name) {
   for (IntersectKernel k :
        {IntersectKernel::kScalar, IntersectKernel::kSse,
-        IntersectKernel::kAvx2, IntersectKernel::kBitmap,
-        IntersectKernel::kBitmapScalar, IntersectKernel::kAuto}) {
+        IntersectKernel::kAvx2, IntersectKernel::kAuto}) {
     if (name == IntersectKernelName(k)) return k;
   }
   return Status::InvalidArgument(
       "unknown intersect kernel '" + name +
-      "' (expected scalar|sse|avx2|bitmap|bitmap_scalar|auto)");
+      "' (expected scalar|sse|avx2|auto)");
 }
 
 Status SetIntersectKernel(IntersectKernel kernel) {
   if (!CpuSupports(kernel)) {
-    if (kernel == IntersectKernel::kBitmap) {
-      return Status::InvalidArgument(
-          "intersect kernel 'bitmap' requires AVX2, which this CPU lacks "
-          "(select 'bitmap_scalar' explicitly for the portable popcount "
-          "fallback)");
-    }
     return Status::InvalidArgument(
         std::string("intersect kernel '") + IntersectKernelName(kernel) +
         "' is not supported by this CPU");
@@ -827,70 +655,6 @@ uint64_t IntersectCountHash(std::span<const VertexId> a,
   CountEmitter emit;
   HashGeneric(a, b, emit);
   return emit.count;
-}
-
-// ---------------------------------------------------------------------------
-// Bitmap kernels.
-// ---------------------------------------------------------------------------
-
-void DenseBitmap::Reset(VertexId universe) {
-  universe_ = universe;
-  popcount_ = 0;
-  const size_t nwords = (static_cast<size_t>(universe) + 63) / 64;
-  // Pad to a whole AVX2 lane so 32-byte loads in the vector popcount
-  // never read past the allocation; padding words stay zero.
-  words_.assign((nwords + 3) & ~size_t{3}, 0);
-}
-
-void DenseBitmap::SetFrom(std::span<const VertexId> sorted_ids) {
-  for (VertexId v : sorted_ids) {
-    uint64_t& word = words_[v >> 6];
-    const uint64_t bit = uint64_t{1} << (v & 63);
-    popcount_ += (word & bit) == 0;
-    word |= bit;
-  }
-}
-
-uint64_t IntersectCountBitmapSparseWith(IntersectKernel kernel,
-                                        std::span<const VertexId> sparse,
-                                        const DenseBitmap& dense) {
-  const IntersectKernel resolved = ResolveBitmapKernel(kernel);
-  CountCall(resolved, sparse.size() + dense.popcount());
-  CountEmitter emit;
-  BitmapSparseProbe(sparse, dense, emit);
-  return emit.count;
-}
-
-size_t IntersectBitmapSparseWith(IntersectKernel kernel,
-                                 std::span<const VertexId> sparse,
-                                 const DenseBitmap& dense,
-                                 std::vector<VertexId>* out) {
-  const IntersectKernel resolved = ResolveBitmapKernel(kernel);
-  CountCall(resolved, sparse.size() + dense.popcount());
-  AppendEmitter emit{out};
-  const size_t before = out->size();
-  BitmapSparseProbe(sparse, dense, emit);
-  return out->size() - before;
-}
-
-uint64_t IntersectCountBitmapDenseWith(IntersectKernel kernel,
-                                       const DenseBitmap& a,
-                                       const DenseBitmap& b, VertexId lo,
-                                       VertexId hi) {
-  const IntersectKernel resolved = ResolveBitmapKernel(kernel);
-  CountCall(resolved, a.popcount() + b.popcount());
-  return CountAndRange(resolved, a, b, lo, hi);
-}
-
-size_t IntersectBitmapDenseWith(IntersectKernel kernel, const DenseBitmap& a,
-                                const DenseBitmap& b, VertexId lo, VertexId hi,
-                                std::vector<VertexId>* out) {
-  const IntersectKernel resolved = ResolveBitmapKernel(kernel);
-  CountCall(resolved, a.popcount() + b.popcount());
-  AppendEmitter emit{out};
-  const size_t before = out->size();
-  ExtractAndRange(a, b, lo, hi, emit);
-  return out->size() - before;
 }
 
 // ---------------------------------------------------------------------------

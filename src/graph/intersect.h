@@ -11,15 +11,6 @@
 // including duplicates (the SIMD block-merge detects duplicate runs and
 // falls back to scalar stepping across them), so adversarial inputs are
 // safe even though adjacency lists are duplicate-free in practice.
-//
-// A fourth family serves skewed graphs: bitmap kernels intersect a
-// sorted list (or another bitmap) against a word-aligned DenseBitmap via
-// bit tests and AND+popcount — AVX2-accelerated (kBitmap) or portable
-// __builtin_popcountll (kBitmapScalar). Bitmaps are sets, so these
-// kernels have *set* semantics: they agree with std::set_intersection on
-// duplicate-free inputs (adjacency lists always are) and emit each
-// common value once otherwise. Hub routing (src/graph/hub_bitmap.h)
-// decides which vertex pairs take this path.
 #ifndef OPT_GRAPH_INTERSECT_H_
 #define OPT_GRAPH_INTERSECT_H_
 
@@ -41,19 +32,11 @@ enum class IntersectKernel : uint8_t {
   kScalar = 0,  // portable C++ (always available)
   kSse = 1,     // SSE4.1 4-wide block-merge + SSE lower-bound galloping
   kAvx2 = 2,    // AVX2 8-wide block-merge + AVX2 lower-bound galloping
-  kBitmap = 3,  // hub bitmaps, AVX2 AND+popcount (requires AVX2)
-  kBitmapScalar = 4,  // hub bitmaps, portable 64-bit popcount
-  kAuto = 5,    // resolve to the best CPU-supported *merge* kernel
+  kAuto = 3,    // resolve to the best CPU-supported kernel
 };
 
 /// Number of concrete kernels (kAuto is a selector, not a kernel).
-inline constexpr int kNumIntersectKernels = 5;
-
-/// True for the bitmap family (hub routing enabled when active).
-inline constexpr bool IsBitmapKernel(IntersectKernel kernel) {
-  return kernel == IntersectKernel::kBitmap ||
-         kernel == IntersectKernel::kBitmapScalar;
-}
+inline constexpr int kNumIntersectKernels = 3;
 
 const char* IntersectKernelName(IntersectKernel kernel);
 
@@ -61,20 +44,15 @@ const char* IntersectKernelName(IntersectKernel kernel);
 /// probe; kScalar and kAuto are always supported).
 bool IntersectKernelSupported(IntersectKernel kernel);
 
-/// The widest *merge* kernel the host CPU supports (what kAuto resolves
-/// to). Never a bitmap kernel: those only apply to hub pairs with a
-/// materialized bitmap, so they are opt-in via `--kernel bitmap`.
+/// The widest kernel the host CPU supports (what kAuto resolves to).
 IntersectKernel BestIntersectKernel();
 
-/// Parses "scalar" | "sse" | "avx2" | "bitmap" | "bitmap_scalar" |
-/// "auto" (the CLI knob).
+/// Parses "scalar" | "sse" | "avx2" | "auto" (the CLI knob).
 Result<IntersectKernel> ParseIntersectKernel(const std::string& name);
 
 /// Installs the process-wide kernel used by the dispatched Intersect /
 /// IntersectCount entry points. kAuto restores best-supported. Returns
-/// InvalidArgument for a kernel the host CPU cannot execute — in
-/// particular `bitmap` on hosts without AVX2 (select `bitmap_scalar`
-/// explicitly for the portable popcount fallback). Selection is
+/// InvalidArgument for a kernel the host CPU cannot execute. Selection is
 /// process-wide: concurrent runs share it (an ablation knob, not a
 /// per-run isolation boundary).
 Status SetIntersectKernel(IntersectKernel kernel);
@@ -92,9 +70,7 @@ IntersectKernel ActiveIntersectKernel();
 struct IntersectCounters {
   /// Kernel invocations, indexed by IntersectKernel (concrete kernels).
   uint64_t calls[kNumIntersectKernels] = {};
-  /// Elements consumed per call, same indexing. Merge/galloping/hash
-  /// count |a| + |b|; bitmap kernels count the probe-list length plus
-  /// the dense side's set-bit population (their unit of work).
+  /// Elements consumed per call (|a| + |b|), same indexing.
   uint64_t elements[kNumIntersectKernels] = {};
 
   uint64_t TotalCalls() const {
@@ -175,67 +151,6 @@ uint64_t IntersectCountGalloping(std::span<const VertexId> a,
                                  std::span<const VertexId> b);
 uint64_t IntersectCountHash(std::span<const VertexId> a,
                             std::span<const VertexId> b);
-
-// ---------------------------------------------------------------------------
-// Bitmap kernels (the DODG hub path). A DenseBitmap materializes a
-// sorted id list as one bit per id over a fixed universe; intersections
-// against it are bit tests (sparse probe) or word-wise AND + popcount
-// (dense × dense). Set semantics: duplicate ids collapse.
-// ---------------------------------------------------------------------------
-
-/// Word-aligned bitset over [0, universe). Words are padded to a
-/// multiple of 4 (one AVX2 lane) and zero beyond the universe, so the
-/// vector kernels never mask the tail.
-class DenseBitmap {
- public:
-  DenseBitmap() = default;
-  explicit DenseBitmap(VertexId universe) { Reset(universe); }
-
-  /// Clears and resizes to cover [0, universe).
-  void Reset(VertexId universe);
-
-  /// Sets the bits of `sorted_ids` (each must be < universe();
-  /// duplicates collapse). Callable repeatedly; bits accumulate.
-  void SetFrom(std::span<const VertexId> sorted_ids);
-
-  bool Test(VertexId v) const {
-    return (words_[v >> 6] >> (v & 63)) & 1u;
-  }
-
-  VertexId universe() const { return universe_; }
-  /// Number of set bits (maintained by SetFrom).
-  uint64_t popcount() const { return popcount_; }
-  std::span<const uint64_t> words() const { return words_; }
-  /// Heap bytes held by the word array (bitmap memory accounting).
-  size_t memory_bytes() const { return words_.capacity() * sizeof(uint64_t); }
-
- private:
-  VertexId universe_ = 0;
-  uint64_t popcount_ = 0;
-  std::vector<uint64_t> words_;
-};
-
-/// b ∩ dense, restricted to values in [lo, hi] — for hub routing, where
-/// the caller's span is a contiguous slice of the bitmap's id list and
-/// the clamp re-creates the slice boundary. `kernel` must be a bitmap
-/// kernel; kBitmap degrades to kBitmapScalar without AVX2, anything
-/// else is treated as kBitmapScalar (safe on any host, like the merge
-/// entry points). Count variants return the cardinality; materializing
-/// variants append the (sorted, duplicate-free) result.
-uint64_t IntersectCountBitmapSparseWith(IntersectKernel kernel,
-                                        std::span<const VertexId> sparse,
-                                        const DenseBitmap& dense);
-size_t IntersectBitmapSparseWith(IntersectKernel kernel,
-                                 std::span<const VertexId> sparse,
-                                 const DenseBitmap& dense,
-                                 std::vector<VertexId>* out);
-uint64_t IntersectCountBitmapDenseWith(IntersectKernel kernel,
-                                       const DenseBitmap& a,
-                                       const DenseBitmap& b, VertexId lo,
-                                       VertexId hi);
-size_t IntersectBitmapDenseWith(IntersectKernel kernel, const DenseBitmap& a,
-                                const DenseBitmap& b, VertexId lo, VertexId hi,
-                                std::vector<VertexId>* out);
 
 // ---------------------------------------------------------------------------
 // Dispatched adaptive entry points (what the iterator models call):

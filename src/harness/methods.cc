@@ -50,7 +50,6 @@ Result<MethodResult> RunOptVariant(Method method, GraphStore* store,
   options.io_queue_depth = config.io_queue_depth;
   options.num_threads = config.num_threads;
   options.kernel = config.kernel;
-  options.hub_split = config.hub_split;
   switch (method) {
     case Method::kOptSerial:
       options.macro_overlap = false;
@@ -81,8 +80,6 @@ Result<MethodResult> RunOptVariant(Method method, GraphStore* store,
   result.pages_read = stats.internal_pages_read + stats.external_pages_read;
   result.iterations = stats.iterations;
   result.parallel_fraction = stats.ParallelFraction();
-  result.hub_degree_threshold = stats.hub_degree_threshold;
-  result.hub_bitmaps_built = stats.hub_bitmaps_built;
   return result;
 }
 

@@ -7,7 +7,6 @@
 #include <optional>
 #include <string>
 
-#include "graph/hub_bitmap.h"
 #include "graph/intersect.h"
 #include "storage/env.h"
 #include "storage/graph_store.h"
@@ -41,10 +40,6 @@ struct MethodConfig {
   /// dispatch table (auto = best CPU-supported). Applies to every
   /// method, since they all funnel through the Intersect entry points.
   std::optional<IntersectKernel> kernel;
-  /// Hub/tail split for the bitmap kernels (`--hub_split`); only the
-  /// OPT variants consult it, and only under a bitmap kernel. Unset
-  /// falls back to the process-wide default (auto).
-  std::optional<HubSplitSpec> hub_split;
 };
 
 struct MethodResult {
@@ -60,9 +55,6 @@ struct MethodResult {
   IntersectKernel kernel_used = IntersectKernel::kScalar;
   /// Per-kernel intersection counters, measured across this run.
   IntersectCounters intersect;
-  /// Hub routing (OPT variants under a bitmap kernel; zero otherwise).
-  uint32_t hub_degree_threshold = 0;
-  uint64_t hub_bitmaps_built = 0;
 };
 
 /// Runs `method` on `store`, counting triangles.

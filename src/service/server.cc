@@ -418,7 +418,7 @@ std::string OptServer::RenderStats() const {
   }
   // The active counter backend (DESIGN.md §13) plus every registry
   // gauge: gauges don't travel in the wire counters section, so the
-  // text block is where clients read opt.hub.* and perf.* levels.
+  // text block is where clients read perf.* and other gauge levels.
   out << PerfBackendStatsText();
   for (const auto& [name, value] : Metrics().Gauges()) {
     out << name << "=" << value << '\n';

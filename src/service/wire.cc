@@ -117,6 +117,18 @@ Status PayloadReader::GetString(std::string* value) {
   return Status::OK();
 }
 
+Status PayloadReader::GetCount(uint32_t* count, size_t min_element_bytes,
+                               const char* what) {
+  OPT_RETURN_IF_ERROR(GetU32(count));
+  if (*count > remaining() / min_element_bytes) {
+    return Status::Corruption(std::string(what) + ": claims " +
+                              std::to_string(*count) + " but only " +
+                              std::to_string(remaining()) +
+                              " payload bytes follow");
+  }
+  return Status::OK();
+}
+
 std::string EncodeQueryRequest(const QueryRequest& request) {
   std::string payload;
   PutString(&payload, request.graph);
@@ -350,8 +362,8 @@ Status DecodeError(std::string_view payload, ErrorResult* out) {
   // A payload ending here came from a server predating the flight
   // recorder — code + message are the whole answer.
   if (reader.AtEnd()) return Status::OK();
-  uint32_t num_events;
-  OPT_RETURN_IF_ERROR(reader.GetU32(&num_events));
+  uint32_t num_events;  // each event: u64 + u8 + u64 + u64
+  OPT_RETURN_IF_ERROR(reader.GetCount(&num_events, 25, "flight events"));
   out->events.reserve(num_events);
   for (uint32_t i = 0; i < num_events; ++i) {
     FlightEvent event;
@@ -409,9 +421,9 @@ Status DecodeProfileResult(std::string_view payload, ProfileResult* out) {
   OPT_RETURN_IF_ERROR(reader.GetU64(&out->io_inflight_samples));
   OPT_RETURN_IF_ERROR(reader.GetU64(&out->stalled_samples));
   OPT_RETURN_IF_ERROR(reader.GetU64(&out->morph_events));
-  uint32_t num_roles;
-  OPT_RETURN_IF_ERROR(reader.GetU32(&num_roles));
   out->role_samples.clear();
+  uint32_t num_roles;
+  OPT_RETURN_IF_ERROR(reader.GetCount(&num_roles, 8, "profile roles"));
   out->role_samples.reserve(num_roles);
   for (uint32_t i = 0; i < num_roles; ++i) {
     uint64_t samples;
@@ -443,16 +455,16 @@ std::string EncodeListBatch(const ListBatch& batch) {
 
 Status DecodeListBatch(std::string_view payload, ListBatch* out) {
   PayloadReader reader(payload);
-  uint32_t count;
-  OPT_RETURN_IF_ERROR(reader.GetU32(&count));
   out->records.clear();
+  uint32_t count;  // each record: u, v and the ws length
+  OPT_RETURN_IF_ERROR(reader.GetCount(&count, 12, "list records"));
   out->records.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
     ListBatch::Record record;
     OPT_RETURN_IF_ERROR(reader.GetU32(&record.u));
     OPT_RETURN_IF_ERROR(reader.GetU32(&record.v));
     uint32_t k;
-    OPT_RETURN_IF_ERROR(reader.GetU32(&k));
+    OPT_RETURN_IF_ERROR(reader.GetCount(&k, 4, "list record ws"));
     record.ws.reserve(k);
     for (uint32_t j = 0; j < k; ++j) {
       VertexId w;
@@ -514,8 +526,9 @@ Status DecodeStatsResult(std::string_view payload, StatsResult* out) {
   // A payload ending here came from a server predating the structured
   // registry fields — the text is the whole answer.
   if (reader.AtEnd()) return Status::OK();
-  uint32_t num_histograms;
-  OPT_RETURN_IF_ERROR(reader.GetU32(&num_histograms));
+  uint32_t num_histograms;  // each: name length + 3 u64 + 4 doubles
+  OPT_RETURN_IF_ERROR(
+      reader.GetCount(&num_histograms, 60, "stats histograms"));
   out->histograms.reserve(num_histograms);
   for (uint32_t i = 0; i < num_histograms; ++i) {
     StatsHistogram histogram;
@@ -529,8 +542,8 @@ Status DecodeStatsResult(std::string_view payload, StatsResult* out) {
     OPT_RETURN_IF_ERROR(reader.GetDouble(&histogram.p99));
     out->histograms.push_back(std::move(histogram));
   }
-  uint32_t num_counters;
-  OPT_RETURN_IF_ERROR(reader.GetU32(&num_counters));
+  uint32_t num_counters;  // each: name length + u64
+  OPT_RETURN_IF_ERROR(reader.GetCount(&num_counters, 12, "stats counters"));
   out->counters.reserve(num_counters);
   for (uint32_t i = 0; i < num_counters; ++i) {
     StatsCounter counter;
@@ -569,17 +582,9 @@ Status DecodeShardStatsResult(std::string_view payload,
                               ShardStatsResult* out) {
   PayloadReader reader(payload);
   OPT_RETURN_IF_ERROR(reader.GetString(&out->graph));
-  uint32_t count;
-  OPT_RETURN_IF_ERROR(reader.GetU32(&count));
   out->shards.clear();
-  // Like DecodeMutateRequest: bound the claimed count by the bytes that
-  // could possibly back it (each entry is ≥ 94 bytes) before reserving.
-  if (count > reader.remaining() / 94) {
-    return Status::Corruption("shard stats claims " + std::to_string(count) +
-                              " shards but only " +
-                              std::to_string(reader.remaining()) +
-                              " payload bytes follow");
-  }
+  uint32_t count;  // each entry is ≥ 94 bytes
+  OPT_RETURN_IF_ERROR(reader.GetCount(&count, 94, "shard stats"));
   out->shards.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
     ShardStatsEntry shard;
@@ -645,18 +650,12 @@ std::string EncodeTracePullResult(const TracePullResult& result) {
 Status DecodeTracePullResult(std::string_view payload,
                              TracePullResult* out) {
   PayloadReader reader(payload);
-  uint32_t num_processes;
-  OPT_RETURN_IF_ERROR(reader.GetU32(&num_processes));
   out->processes.clear();
-  // Hostile-count bound (cf. DecodeMutateRequest): a process section is
-  // at least 32 bytes even with an empty label and no events.
-  if (num_processes > reader.remaining() / 32) {
-    return Status::Corruption("trace pull claims " +
-                              std::to_string(num_processes) +
-                              " processes but only " +
-                              std::to_string(reader.remaining()) +
-                              " payload bytes follow");
-  }
+  // A process section is at least 32 bytes even with an empty label and
+  // no events.
+  uint32_t num_processes;
+  OPT_RETURN_IF_ERROR(
+      reader.GetCount(&num_processes, 32, "trace pull processes"));
   out->processes.reserve(num_processes);
   for (uint32_t p = 0; p < num_processes; ++p) {
     ProcessTrace process;
@@ -664,17 +663,11 @@ Status DecodeTracePullResult(std::string_view payload,
     OPT_RETURN_IF_ERROR(reader.GetString(&process.label));
     OPT_RETURN_IF_ERROR(reader.GetU64(&process.unix_origin_micros));
     OPT_RETURN_IF_ERROR(reader.GetU64(&process.dropped_spans));
-    uint32_t num_events;
-    OPT_RETURN_IF_ERROR(reader.GetU32(&num_events));
     // Each encoded event is ≥ 57 bytes (three length-prefixed strings
-    // plus the fixed fields); bound before reserving.
-    if (num_events > reader.remaining() / 57) {
-      return Status::Corruption("trace section claims " +
-                                std::to_string(num_events) +
-                                " events but only " +
-                                std::to_string(reader.remaining()) +
-                                " payload bytes follow");
-    }
+    // plus the fixed fields).
+    uint32_t num_events;
+    OPT_RETURN_IF_ERROR(
+        reader.GetCount(&num_events, 57, "trace section events"));
     process.events.reserve(num_events);
     for (uint32_t i = 0; i < num_events; ++i) {
       TraceEvent event;

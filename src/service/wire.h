@@ -311,6 +311,12 @@ class PayloadReader {
   Status GetU64(uint64_t* value);
   Status GetDouble(double* value);
   Status GetString(std::string* value);
+  /// Reads an element count that the rest of the payload must back:
+  /// fails with Corruption when `count` elements of at least
+  /// `min_element_bytes` each cannot fit in the remaining bytes, so a
+  /// hostile count never reaches reserve().
+  Status GetCount(uint32_t* count, size_t min_element_bytes,
+                  const char* what);
   bool AtEnd() const { return pos_ == data_.size(); }
   size_t remaining() const { return data_.size() - pos_; }
 

@@ -89,19 +89,6 @@ void BufferPool::DropPageLocked(PageKey key) {
   page_table_.erase(key);
 }
 
-Frame* BufferPool::LookupAndPin(PageKey key) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  stats_.lookups.fetch_add(1, std::memory_order_relaxed);
-  auto it = page_table_.find(key);
-  if (it == page_table_.end()) return nullptr;
-  Frame& frame = frames_[it->second];
-  if (!frame.valid) return nullptr;  // read still in flight elsewhere
-  ++frame.pins;
-  TouchLru(key);
-  stats_.hits.fetch_add(1, std::memory_order_relaxed);
-  return &frame;
-}
-
 Result<Frame*> BufferPool::AllocateLocked(PageKey key) {
   stats_.allocations.fetch_add(1, std::memory_order_relaxed);
   uint32_t frame_index;
@@ -164,15 +151,6 @@ Result<BufferPool::FetchResult> BufferPool::Fetch(PageKey key) {
   counters.misses->Increment();
   OPT_ASSIGN_OR_RETURN(Frame * frame, AllocateLocked(key));
   return FetchResult{frame, FetchOutcome::kMiss};
-}
-
-Result<Frame*> BufferPool::AllocateForRead(PageKey key) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (page_table_.count(key) != 0) {
-    return Status::Internal("buffer pool: page already present; racy "
-                            "callers must use Fetch()");
-  }
-  return AllocateLocked(key);
 }
 
 void BufferPool::MarkValid(Frame* frame) {

@@ -123,18 +123,8 @@ class BufferPool {
   /// pinned.
   Result<FetchResult> Fetch(PageKey key);
 
-  /// If `key` is cached and valid, pins it and returns the frame
-  /// (a Δ-I/O saving); otherwise returns nullptr.
-  Frame* LookupAndPin(PageKey key);
-
-  /// Fetch() restricted to the kMiss case: allocates (evicting an
-  /// unpinned frame if needed) a pinned, invalid frame for `key`, which
-  /// must not already be present (Internal error otherwise — racy
-  /// callers must use Fetch()).
-  Result<Frame*> AllocateForRead(PageKey key);
-
-  /// Marks a frame's content as complete; it becomes LookupAndPin-able
-  /// and WaitValid() returns OK.
+  /// Marks a frame's content as complete; later fetches hit it and
+  /// WaitValid() returns OK.
   void MarkValid(Frame* frame);
 
   /// Marks an owned read as failed: the page is dropped from the table
@@ -185,7 +175,7 @@ class BufferPool {
   void TouchLru(PageKey key);
   void EnsureFramesLocked(uint32_t min_frames);
   void DropPageLocked(PageKey key);
-  /// Allocation half of Fetch/AllocateForRead; `key` must be absent.
+  /// Allocation half of Fetch; `key` must be absent.
   Result<Frame*> AllocateLocked(PageKey key);
 
   const uint32_t page_size_;

@@ -163,22 +163,6 @@ Status GraphStore::VerifyAllPages() const {
   return Status::OK();
 }
 
-Result<std::vector<uint32_t>> GraphStore::ComputeDegrees() const {
-  std::vector<uint32_t> degrees(num_vertices_, 0);
-  std::vector<char> buffer(page_size_);
-  for (uint32_t pid = 0; pid < file_->num_pages(); ++pid) {
-    OPT_RETURN_IF_ERROR(file_->ReadPage(pid, buffer.data()));
-    const PageView view(buffer.data(), page_size_);
-    for (uint32_t i = 0; i < view.num_slots(); ++i) {
-      const Segment seg = view.GetSegment(i);
-      if (seg.IsFirstSegment() && seg.vertex < num_vertices_) {
-        degrees[seg.vertex] = seg.total_degree;
-      }
-    }
-  }
-  return degrees;
-}
-
 Result<std::unique_ptr<GraphStore>> GraphStore::Open(
     Env* env, const std::string& base_path, bool verify_pages) {
   OPT_ASSIGN_OR_RETURN(auto meta_file,

@@ -182,6 +182,11 @@ struct OptConfig {
   bool vertex_iterator;
 };
 
+// Without this gtest prints the raw struct bytes, so the listed test names
+// (and the CTest names discovered from them) would carry the address of
+// `name` and change with every rebuild.
+void PrintTo(const OptConfig& config, std::ostream* os) { *os << config.name; }
+
 class OptRunnerTest : public ::testing::TestWithParam<OptConfig> {};
 
 TEST_P(OptRunnerTest, MatchesOracleOnPaperGraph) {

@@ -18,7 +18,6 @@
 #include "gen/erdos_renyi.h"
 #include "gen/holme_kim.h"
 #include "gen/rmat.h"
-#include "graph/hub_bitmap.h"
 #include "graph/intersect.h"
 #include "storage/env.h"
 #include "storage/fault_env.h"
@@ -190,85 +189,6 @@ TEST_F(DifferentialTest, VertexIteratorModelAgreesUnderForcedKernels) {
     ASSERT_TRUE(s.ok()) << s.ToString();
     ASSERT_EQ(sink.Sorted(), oracle);
   }
-}
-
-TEST_F(DifferentialTest, HubSplitSweepBitIdenticalAcrossSplitPoints) {
-  // Property: the hub/tail split point is a pure performance knob. For
-  // every split — off, all-hubs (degree 0), p90, p99, auto — and both
-  // bitmap kernels, OPT's count AND sorted listing must be bit-identical
-  // to the in-memory oracle on the skewed R-MAT and clustered Holme–Kim
-  // graphs, serial and threaded.
-  struct SweepGraph {
-    const char* name;
-    CSRGraph graph;
-  };
-  const SweepGraph graphs[] = {{"rmat", MakeRmat(42)},
-                               {"holme_kim", MakeHolmeKim(9)}};
-  EdgeIteratorModel model;
-  for (const SweepGraph& sg : graphs) {
-    const auto oracle = testutil::OracleTriangles(sg.graph);
-    ASSERT_GT(oracle.size(), 0u);
-    auto store = testutil::MakeStore(sg.graph, Env::Default(),
-                                     std::string("diff_hub_") + sg.name,
-                                     256);
-    const auto splits = MakeSplits(*store);
-    for (IntersectKernel kernel :
-         {IntersectKernel::kBitmapScalar, IntersectKernel::kBitmap}) {
-      if (!IntersectKernelSupported(kernel)) continue;
-      for (const char* hub_split : {"off", "0", "p90", "p99", "auto"}) {
-        for (uint32_t threads : {1u, 3u}) {
-          const std::string label =
-              std::string(sg.name) + " hub_split=" + hub_split + " " +
-              ConfigLabel(splits[threads == 1 ? 0 : 1], threads, true,
-                          true, kernel);
-          SCOPED_TRACE(label);
-          OptOptions options = MakeOptions(splits[threads == 1 ? 0 : 1],
-                                           threads, true, true, kernel);
-          auto spec = HubSplitSpec::Parse(hub_split);
-          ASSERT_TRUE(spec.ok()) << spec.status().ToString();
-          options.hub_split = *spec;
-          OptRunner runner(store.get(), &model, options);
-          VectorSink sink;
-          OptRunStats stats;
-          Status s = runner.Run(&sink, &stats);
-          ASSERT_TRUE(s.ok()) << s.ToString();
-          ASSERT_EQ(sink.Sorted(), oracle);
-          if (std::string(hub_split) == "0") {
-            // All-hubs split: every internal vertex owns a bitmap, so
-            // the run must actually have built some.
-            EXPECT_GT(stats.hub_bitmaps_built, 0u);
-            EXPECT_GT(stats.hub_bitmap_peak_bytes, 0u);
-          } else if (std::string(hub_split) == "off") {
-            EXPECT_EQ(stats.hub_bitmaps_built, 0u);
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST_F(DifferentialTest, StoreComputeDegreesMatchesCsrGraph) {
-  // The hub split point is resolved from GraphStore::ComputeDegrees();
-  // cross-check the page-scan against the in-memory CSR degrees, and
-  // the nearest-rank percentile rule against a direct count.
-  CSRGraph g = MakeRmat(13);
-  auto store = testutil::MakeStore(g, Env::Default(), "diff_degrees", 256);
-  auto degrees = store->ComputeDegrees();
-  ASSERT_TRUE(degrees.ok()) << degrees.status().ToString();
-  ASSERT_EQ(degrees->size(), g.num_vertices());
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    ASSERT_EQ((*degrees)[v], g.degree(v)) << "vertex " << v;
-  }
-  // p99 threshold: at most ~1% of vertices may strictly exceed it.
-  HubSplitSpec spec;
-  spec.mode = HubSplitSpec::Mode::kPercentile;
-  spec.percentile = 99.0;
-  const uint32_t threshold =
-      ResolveHubDegreeThreshold(spec, *degrees, g.num_vertices());
-  ASSERT_NE(threshold, kNoHubThreshold);
-  size_t above = 0;
-  for (uint32_t d : *degrees) above += d > threshold ? 1 : 0;
-  EXPECT_LE(above, g.num_vertices() / 100 + 1);
 }
 
 TEST_F(DifferentialTest, RandomizedFaultOffsetsNeverYieldWrongCounts) {

@@ -372,9 +372,10 @@ TEST(FaultDegradation, SchedulerMarksUnavailableQueriesDegraded) {
 TEST(BufferPoolFaults, WaitValidTimesOutWhenReaderNeverPublishes) {
   BufferPool pool(256, 4);
   const PageKey key = MakePageKey(0, 7);
-  auto owned = pool.AllocateForRead(key);
+  auto owned = pool.Fetch(key);
   ASSERT_TRUE(owned.ok());
-  Frame* frame = *owned;
+  ASSERT_EQ(owned->outcome, BufferPool::FetchOutcome::kMiss);
+  Frame* frame = owned->frame;
 
   // A second query finds the page in flight and waits — but the "reader"
   // (us) never publishes. The bounded wait must surface Unavailable
@@ -399,9 +400,10 @@ TEST(BufferPoolFaults, WaitValidTimesOutWhenReaderNeverPublishes) {
 TEST(BufferPoolFaults, WaitValidStillReturnsPromptlyOnLatePublish) {
   BufferPool pool(256, 4);
   const PageKey key = MakePageKey(0, 9);
-  auto owned = pool.AllocateForRead(key);
+  auto owned = pool.Fetch(key);
   ASSERT_TRUE(owned.ok());
-  Frame* frame = *owned;
+  ASSERT_EQ(owned->outcome, BufferPool::FetchOutcome::kMiss);
+  Frame* frame = owned->frame;
   std::thread publisher([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     pool.MarkValid(frame);
@@ -445,9 +447,10 @@ TEST(BufferPoolFaults, InFlightFrameIsNotRecycledAfterWaiterTimeout) {
   AsyncIoEngine engine(1);
   CompletionQueue queue;
   const PageKey key = MakePageKey(0, 0);
-  auto owned = pool.AllocateForRead(key);
+  auto owned = pool.Fetch(key);
   ASSERT_TRUE(owned.ok());
-  Frame* frame = *owned;
+  ASSERT_EQ(owned->outcome, BufferPool::FetchOutcome::kMiss);
+  Frame* frame = owned->frame;
 
   Status read_status = Status::Internal("callback never ran");
   ReadRequest request;

@@ -1,29 +1,19 @@
 // Randomized differential tests for every intersection kernel variant
-// (scalar merge/galloping/hash, SSE, AVX2, and the hub bitmap kernels)
-// against a std::set_intersection oracle, over adversarial inputs:
-// empty lists, singletons, all-equal lists, no-overlap interleavings,
-// duplicates at SIMD block boundaries, lengths straddling register
-// tails (7/8/9, 15/16/17), ids straddling 64-bit word and 256-bit lane
-// boundaries, and heavily skewed hub/tail size ratios. Also covers the
-// dispatch table itself (parse/set/active, per-kernel counters, the
-// bitmap AVX2 feature probe) and the hub-routed entry points over
-// random contiguous adjacency slices.
-//
-// The bitmap fuzz volume is tunable without a rebuild:
-//   OPT_FUZZ_CASES=500000 OPT_FUZZ_SEED=n ./test_intersect_fuzz
-// A failing trial prints a one-line repro with the exact seed.
+// (scalar merge/galloping/hash, SSE, AVX2) against a
+// std::set_intersection oracle, over adversarial inputs: empty lists,
+// singletons, all-equal lists, no-overlap interleavings, duplicates at
+// SIMD block boundaries, lengths straddling register tails (7/8/9,
+// 15/16/17), unsigned values above INT32_MAX, and heavily skewed size
+// ratios. Also covers the dispatch table itself (parse/set/active and
+// the per-kernel counters).
 #include "graph/intersect.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
-#include "graph/hub_bitmap.h"
 #include "util/random.h"
 
 namespace opt {
@@ -192,230 +182,6 @@ TEST(IntersectFuzzTest, HeavilySkewedSizeRatios) {
 }
 
 // ---------------------------------------------------------------------------
-// Bitmap kernels: differential fuzz against the set_intersection oracle.
-// ---------------------------------------------------------------------------
-
-uint64_t EnvU64(const char* name, uint64_t fallback) {
-  const char* s = std::getenv(name);
-  if (s == nullptr || *s == '\0') return fallback;
-  return std::strtoull(s, nullptr, 10);
-}
-
-std::vector<VertexId> Dedup(std::vector<VertexId> v) {
-  v.erase(std::unique(v.begin(), v.end()), v.end());
-  return v;
-}
-
-constexpr IntersectKernel kBitmapKernels[] = {IntersectKernel::kBitmapScalar,
-                                              IntersectKernel::kBitmap};
-
-/// Checks both bitmap kernels (sparse probe in both argument orders,
-/// dense AND+popcount, materializing and counting) against the
-/// duplicate-free oracle: bitmaps have set semantics, so the expected
-/// result is std::set_intersection over the deduplicated inputs.
-void CheckBitmapVariants(const std::vector<VertexId>& a,
-                         const std::vector<VertexId>& b,
-                         const std::string& label) {
-  const std::vector<VertexId> expected = Oracle(Dedup(a), Dedup(b));
-  VertexId universe = 1;
-  if (!a.empty()) universe = std::max(universe, a.back() + 1);
-  if (!b.empty()) universe = std::max(universe, b.back() + 1);
-  DenseBitmap dense_a(universe), dense_b(universe);
-  dense_a.SetFrom(a);
-  dense_b.SetFrom(b);
-  for (IntersectKernel kernel : kBitmapKernels) {
-    if (!IntersectKernelSupported(kernel)) continue;
-    const std::string tag =
-        label + " kernel=" + IntersectKernelName(kernel) + " |a|=" +
-        std::to_string(a.size()) + " |b|=" + std::to_string(b.size());
-    ASSERT_EQ(IntersectCountBitmapSparseWith(kernel, a, dense_b),
-              expected.size())
-        << tag;
-    ASSERT_EQ(IntersectCountBitmapSparseWith(kernel, b, dense_a),
-              expected.size())
-        << tag;
-    std::vector<VertexId> out;
-    ASSERT_EQ(IntersectBitmapSparseWith(kernel, a, dense_b, &out),
-              expected.size())
-        << tag;
-    ASSERT_EQ(out, expected) << tag;
-    ASSERT_EQ(IntersectCountBitmapDenseWith(kernel, dense_a, dense_b, 0,
-                                            universe - 1),
-              expected.size())
-        << tag;
-    out.clear();
-    ASSERT_EQ(IntersectBitmapDenseWith(kernel, dense_a, dense_b, 0,
-                                       universe - 1, &out),
-              expected.size())
-        << tag;
-    ASSERT_EQ(out, expected) << tag;
-  }
-}
-
-TEST(BitmapFuzzTest, AdversarialFixedCases) {
-  const std::vector<VertexId> empty;
-  const std::vector<VertexId> one{7};
-  const std::vector<VertexId> run{5, 5, 5, 5, 5, 5, 5, 5, 5};
-  const std::vector<VertexId> evens{0, 2, 4, 6, 8, 10, 12, 14, 16, 18};
-  const std::vector<VertexId> odds{1, 3, 5, 7, 9, 11, 13, 15, 17, 19};
-  CheckBitmapVariants(empty, empty, "empty-empty");
-  CheckBitmapVariants(empty, evens, "empty-list");
-  CheckBitmapVariants(evens, empty, "list-empty");
-  CheckBitmapVariants(one, one, "singleton-hit");
-  CheckBitmapVariants(one, evens, "singleton-miss");
-  CheckBitmapVariants(run, run, "all-equal");
-  CheckBitmapVariants(run, one, "all-equal-vs-singleton");
-  CheckBitmapVariants(evens, odds, "no-overlap-interleaved");
-  CheckBitmapVariants(evens, evens, "identical");
-}
-
-TEST(BitmapFuzzTest, IdsStraddlingWordAndLaneBoundaries) {
-  // Ids packed around every 64-bit word edge and 256-bit AVX2 lane edge
-  // of the bitmap: the masks for the first/last partial words and the
-  // scalar-tail handoff inside the 4-words-per-iteration AVX2 loop are
-  // exactly the places an off-by-one would hide.
-  const std::vector<VertexId> edges{0,   1,   62,  63,  64,  65,  126, 127,
-                                    128, 129, 190, 191, 192, 193, 254, 255,
-                                    256, 257, 511, 512, 513, 1023, 1024, 1025};
-  std::vector<VertexId> lows, highs;
-  for (VertexId v : edges) (v < 192 ? lows : highs).push_back(v);
-  CheckBitmapVariants(edges, edges, "word-lane-identical");
-  CheckBitmapVariants(lows, edges, "word-lane-prefix");
-  CheckBitmapVariants(highs, edges, "word-lane-suffix");
-  CheckBitmapVariants(lows, highs, "word-lane-disjoint-split");
-  for (VertexId v : edges) {
-    CheckBitmapVariants({v}, edges, "word-lane-singleton");
-  }
-}
-
-TEST(BitmapFuzzTest, RandomizedBitmapEqualsSetIntersection) {
-  // The ≥50k-case differential sweep (the per-case helper checks both
-  // bitmap kernels in both argument orders plus the dense pair, so the
-  // kernel-level case count is a multiple of this). Each trial reseeds
-  // from its own derived seed, so the printed repro line replays just
-  // the failing trial.
-  const uint64_t cases = EnvU64("OPT_FUZZ_CASES", 50000);
-  const uint64_t base_seed = EnvU64("OPT_FUZZ_SEED", 0xB17A15EEDull);
-  for (uint64_t trial = 0; trial < cases; ++trial) {
-    const uint64_t seed = base_seed + trial;
-    Random64 rng(seed);
-    // Size shapes: tail-tail, hub-tail (both orders), hub-hub.
-    const uint32_t shape = static_cast<uint32_t>(rng.Uniform(4));
-    const size_t na = shape == 0 || shape == 1 ? rng.Uniform(48)
-                                               : 256 + rng.Uniform(1024);
-    const size_t nb = shape == 0 || shape == 2 ? rng.Uniform(48)
-                                               : 256 + rng.Uniform(1024);
-    const uint32_t max_step = 1 + static_cast<uint32_t>(rng.Uniform(8));
-    const uint32_t dup_percent = static_cast<uint32_t>(rng.Uniform(35));
-    const VertexId offset = static_cast<VertexId>(rng.Uniform(256));
-    const auto a = MakeList(&rng, na, max_step, dup_percent);
-    const auto b = MakeList(&rng, nb, max_step, dup_percent, offset);
-    CheckBitmapVariants(a, b, "bitmap-fuzz seed=" + std::to_string(seed));
-    // Sub-range clamp: the dense pair restricted to a random [lo, hi]
-    // window must equal the oracle filtered to that window.
-    if (!a.empty() && !b.empty()) {
-      const VertexId universe = std::max(a.back(), b.back()) + 1;
-      VertexId lo = static_cast<VertexId>(rng.Uniform(universe));
-      VertexId hi = static_cast<VertexId>(rng.Uniform(universe));
-      if (lo > hi) std::swap(lo, hi);
-      std::vector<VertexId> window = Oracle(Dedup(a), Dedup(b));
-      std::erase_if(window,
-                    [lo, hi](VertexId v) { return v < lo || v > hi; });
-      DenseBitmap dense_a(universe), dense_b(universe);
-      dense_a.SetFrom(a);
-      dense_b.SetFrom(b);
-      for (IntersectKernel kernel : kBitmapKernels) {
-        if (!IntersectKernelSupported(kernel)) continue;
-        std::vector<VertexId> out;
-        ASSERT_EQ(
-            IntersectBitmapDenseWith(kernel, dense_a, dense_b, lo, hi, &out),
-            window.size())
-            << "clamped seed=" << seed;
-        ASSERT_EQ(out, window) << "clamped seed=" << seed;
-      }
-    }
-    if (::testing::Test::HasFailure()) {
-      std::fprintf(stderr,
-                   "bitmap fuzz repro: OPT_FUZZ_SEED=%" PRIu64
-                   " OPT_FUZZ_CASES=1 ./test_intersect_fuzz "
-                   "--gtest_filter=BitmapFuzzTest.*\n",
-                   seed);
-      return;
-    }
-  }
-}
-
-TEST(BitmapFuzzTest, RoutedSlicesMatchScalarMerge) {
-  // The hub-routed entry points receive *contiguous slices* of each
-  // vertex's full sorted adjacency (succ()/prec() subspans) while the
-  // bitmap holds the full list — the clamping invariant. Fuzz random
-  // slices through a real HubBitmapIndex against the scalar merge on
-  // the same slices; adjacency lists are duplicate-free, so merge and
-  // bitmap semantics coincide.
-  if (!IntersectKernelSupported(IntersectKernel::kBitmapScalar)) {
-    GTEST_SKIP();
-  }
-  const uint64_t cases = std::max<uint64_t>(EnvU64("OPT_FUZZ_CASES", 50000) / 25, 100);
-  const uint64_t base_seed = EnvU64("OPT_FUZZ_SEED", 0x5CA1AB1Eull);
-  for (IntersectKernel kernel : kBitmapKernels) {
-    if (!IntersectKernelSupported(kernel)) continue;
-    ASSERT_TRUE(SetIntersectKernel(kernel).ok());
-    for (uint64_t trial = 0; trial < cases; ++trial) {
-      const uint64_t seed = base_seed + trial;
-      Random64 rng(seed);
-      const auto full_a = Dedup(
-          MakeList(&rng, 8 + rng.Uniform(512), 3, /*dup_percent=*/0));
-      const auto full_b = Dedup(
-          MakeList(&rng, 8 + rng.Uniform(512), 3, /*dup_percent=*/0));
-      const VertexId universe =
-          std::max(full_a.back(), full_b.back()) + 1;
-      // va is always a hub; vb is a hub on half the trials, so both the
-      // dense×dense and sparse-probe routes get exercised.
-      const bool b_is_hub = rng.Uniform(2) == 0;
-      HubBitmapIndex index;
-      index.Reset(universe, /*degree_threshold=*/0);
-      index.Add(0, full_a);
-      if (b_is_hub) index.Add(1, full_b);
-      HubRoutingScope scope(&index);
-      auto slice = [&rng](const std::vector<VertexId>& full) {
-        const size_t lo = rng.Uniform(full.size());
-        const size_t hi = lo + rng.Uniform(full.size() - lo) + 1;
-        return std::span<const VertexId>(full.data() + lo, hi - lo);
-      };
-      for (int rep = 0; rep < 4; ++rep) {
-        const auto sa = slice(full_a);
-        const auto sb = slice(full_b);
-        const uint64_t expected =
-            IntersectCountMergeWith(IntersectKernel::kScalar, sa, sb);
-        std::vector<VertexId> expected_list;
-        IntersectMergeWith(IntersectKernel::kScalar, sa, sb,
-                           &expected_list);
-        std::vector<VertexId> routed_list;
-        ASSERT_EQ(IntersectCount(0, 1, sa, sb), expected)
-            << "routed seed=" << seed << " kernel="
-            << IntersectKernelName(kernel);
-        ASSERT_EQ(Intersect(0, 1, sa, sb, &routed_list), expected)
-            << "routed seed=" << seed;
-        ASSERT_EQ(routed_list, expected_list) << "routed seed=" << seed;
-        // Swapped order: the hub side flips.
-        ASSERT_EQ(IntersectCount(1, 0, sb, sa), expected)
-            << "routed-swap seed=" << seed;
-      }
-      if (::testing::Test::HasFailure()) {
-        std::fprintf(stderr,
-                     "routed fuzz repro: OPT_FUZZ_SEED=%" PRIu64
-                     " OPT_FUZZ_CASES=25 ./test_intersect_fuzz "
-                     "--gtest_filter=BitmapFuzzTest.RoutedSlices*\n",
-                     seed);
-        ASSERT_TRUE(SetIntersectKernel(IntersectKernel::kAuto).ok());
-        return;
-      }
-    }
-  }
-  ASSERT_TRUE(SetIntersectKernel(IntersectKernel::kAuto).ok());
-}
-
-// ---------------------------------------------------------------------------
 // Dispatch-table behavior.
 // ---------------------------------------------------------------------------
 
@@ -430,8 +196,7 @@ class KernelDispatchTest : public ::testing::Test {
 TEST_F(KernelDispatchTest, ParseAcceptsKnownNamesOnly) {
   for (IntersectKernel k :
        {IntersectKernel::kScalar, IntersectKernel::kSse,
-        IntersectKernel::kAvx2, IntersectKernel::kBitmap,
-        IntersectKernel::kBitmapScalar, IntersectKernel::kAuto}) {
+        IntersectKernel::kAvx2, IntersectKernel::kAuto}) {
     auto parsed = ParseIntersectKernel(IntersectKernelName(k));
     ASSERT_TRUE(parsed.ok());
     EXPECT_EQ(*parsed, k);
@@ -439,54 +204,8 @@ TEST_F(KernelDispatchTest, ParseAcceptsKnownNamesOnly) {
   EXPECT_FALSE(ParseIntersectKernel("sse9").ok());
   EXPECT_FALSE(ParseIntersectKernel("").ok());
   EXPECT_FALSE(ParseIntersectKernel("AUTO").ok());
-  EXPECT_FALSE(ParseIntersectKernel("bitmaps").ok());
-  EXPECT_FALSE(ParseIntersectKernel("BITMAP").ok());
-}
-
-TEST_F(KernelDispatchTest, BitmapKernelFeatureProbe) {
-  // 'bitmap' needs AVX2: its support tracks the AVX2 merge kernel, and
-  // selecting it on a host without AVX2 is a typed InvalidArgument that
-  // names the portable fallback — never a silent downgrade.
-  EXPECT_EQ(IntersectKernelSupported(IntersectKernel::kBitmap),
-            IntersectKernelSupported(IntersectKernel::kAvx2));
-  const Status s = SetIntersectKernel(IntersectKernel::kBitmap);
-  if (IntersectKernelSupported(IntersectKernel::kBitmap)) {
-    ASSERT_TRUE(s.ok()) << s.ToString();
-    EXPECT_EQ(ActiveIntersectKernel(), IntersectKernel::kBitmap);
-  } else {
-    ASSERT_TRUE(s.IsInvalidArgument()) << s.ToString();
-    EXPECT_NE(s.ToString().find("AVX2"), std::string::npos)
-        << s.ToString();
-    EXPECT_NE(s.ToString().find("bitmap_scalar"), std::string::npos)
-        << s.ToString();
-    // The failed set must not have changed the active kernel family.
-    EXPECT_FALSE(IsBitmapKernel(ActiveIntersectKernel()));
-  }
-  // The scalar popcount fallback is selectable on every host.
-  ASSERT_TRUE(SetIntersectKernel(IntersectKernel::kBitmapScalar).ok());
-  EXPECT_EQ(ActiveIntersectKernel(), IntersectKernel::kBitmapScalar);
-  EXPECT_TRUE(IntersectKernelSupported(IntersectKernel::kBitmapScalar));
-}
-
-TEST_F(KernelDispatchTest, BitmapCountersAttributeToTheResolvedKernel) {
-  Random64 rng(11);
-  const auto sparse = MakeList(&rng, 32, 2, 0);
-  const auto dense_ids = MakeList(&rng, 256, 2, 0);
-  DenseBitmap dense(dense_ids.back() + 1);
-  dense.SetFrom(dense_ids);
-  for (IntersectKernel k : kBitmapKernels) {
-    if (!IntersectKernelSupported(k)) continue;
-    const int idx = static_cast<int>(k);
-    const IntersectCounters before = SnapshotIntersectCounters();
-    (void)IntersectCountBitmapSparseWith(k, sparse, dense);
-    const IntersectCounters delta =
-        IntersectCounters::Delta(SnapshotIntersectCounters(), before);
-    EXPECT_EQ(delta.calls[idx], 1u) << IntersectKernelName(k);
-    // Sparse-probe cost model: probe list plus dense population.
-    EXPECT_EQ(delta.elements[idx], sparse.size() + dense.popcount())
-        << IntersectKernelName(k);
-    EXPECT_EQ(delta.TotalCalls(), 1u) << IntersectKernelName(k);
-  }
+  EXPECT_FALSE(ParseIntersectKernel("bitmap").ok());
+  EXPECT_FALSE(ParseIntersectKernel("bitmap_scalar").ok());
 }
 
 TEST_F(KernelDispatchTest, AutoResolvesToBestSupported) {

@@ -35,26 +35,30 @@ TEST(AlignedBufferTest, MoveTransfersOwnership) {
 
 TEST(BufferPoolTest, EnsureFramesGrowsAndKeepsPointersStable) {
   BufferPool pool(4096, 4);
-  auto f0 = pool.AllocateForRead(0);
+  auto f0 = pool.Fetch(0);
   ASSERT_TRUE(f0.ok());
-  char* data0 = (*f0)->data;
+  ASSERT_EQ(f0->outcome, BufferPool::FetchOutcome::kMiss);
+  char* data0 = f0->frame->data;
   pool.EnsureFrames(64);
   EXPECT_EQ(pool.num_frames(), 64u);
-  EXPECT_EQ((*f0)->data, data0);  // old frame untouched
+  EXPECT_EQ(f0->frame->data, data0);  // old frame untouched
   // All 64 frames allocatable.
   for (uint32_t pid = 1; pid < 64; ++pid) {
-    ASSERT_TRUE(pool.AllocateForRead(pid).ok()) << pid;
+    auto f = pool.Fetch(pid);
+    ASSERT_TRUE(f.ok()) << pid;
+    ASSERT_EQ(f->outcome, BufferPool::FetchOutcome::kMiss) << pid;
   }
-  EXPECT_EQ(pool.AllocateForRead(100).status().code(),
+  EXPECT_EQ(pool.Fetch(100).status().code(),
             StatusCode::kResourceExhausted);
 }
 
 TEST(BufferPoolTest, FramesArePageAligned) {
   BufferPool pool(4096, 8);
   for (uint32_t pid = 0; pid < 8; ++pid) {
-    auto frame = pool.AllocateForRead(pid);
-    ASSERT_TRUE(frame.ok());
-    EXPECT_EQ(reinterpret_cast<uintptr_t>((*frame)->data) % 4096, 0u);
+    auto fetched = pool.Fetch(pid);
+    ASSERT_TRUE(fetched.ok());
+    ASSERT_EQ(fetched->outcome, BufferPool::FetchOutcome::kMiss);
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(fetched->frame->data) % 4096, 0u);
   }
 }
 

@@ -375,6 +375,56 @@ TEST(Wire, TracePullResultRejectsHostileCounts) {
             StatusCode::kCorruption);
 }
 
+TEST(Wire, ReplyDecodersRejectHostileCounts) {
+  // Every count a reply decoder reserves for is bounded by the bytes
+  // that follow it: a short frame claiming 2^31 elements must fail the
+  // bound check (not a later truncated read) instead of forcing a
+  // multi-GB allocation in the client.
+  auto expect_bounded = [](const Status& s, const char* what) {
+    EXPECT_EQ(s.code(), StatusCode::kCorruption) << what;
+    EXPECT_NE(s.ToString().find("payload bytes follow"), std::string::npos)
+        << what << ": " << s.ToString();
+  };
+  std::string error;
+  PutU32(&error, 13);
+  PutString(&error, "x");
+  PutU32(&error, 0x7fffffff);  // flight events
+  ErrorResult error_out;
+  expect_bounded(DecodeError(error, &error_out), "error events");
+
+  std::string profile;
+  PutU64(&profile, 0);     // triangles
+  PutDouble(&profile, 0);  // seconds
+  PutU32(&profile, 0);     // iterations
+  for (int i = 0; i < 8; ++i) PutU64(&profile, 0);  // sample counters
+  PutU32(&profile, 0x7fffffff);                     // roles
+  ProfileResult profile_out;
+  expect_bounded(DecodeProfileResult(profile, &profile_out), "roles");
+
+  std::string records;
+  PutU32(&records, 0x7fffffff);  // records
+  PutU32(&records, 1);
+  ListBatch batch_out;
+  expect_bounded(DecodeListBatch(records, &batch_out), "records");
+  std::string ws;
+  PutU32(&ws, 1);           // one record
+  PutU32(&ws, 1);           // u
+  PutU32(&ws, 2);           // v
+  PutU32(&ws, 0x7fffffff);  // ws
+  expect_bounded(DecodeListBatch(ws, &batch_out), "ws");
+
+  std::string histograms;
+  PutString(&histograms, "t");
+  PutU32(&histograms, 0x7fffffff);  // histograms
+  StatsResult stats_out;
+  expect_bounded(DecodeStatsResult(histograms, &stats_out), "histograms");
+  std::string counters;
+  PutString(&counters, "t");
+  PutU32(&counters, 0);           // histograms
+  PutU32(&counters, 0x7fffffff);  // counters
+  expect_bounded(DecodeStatsResult(counters, &stats_out), "counters");
+}
+
 TEST(Wire, PayloadReaderRejectsShortStrings) {
   std::string payload;
   PutU32(&payload, 100);  // claims 100 bytes, provides none

@@ -122,56 +122,83 @@ TEST(PageFileTest, RejectsMisalignedFile) {
   (void)env->DeleteFile(path);
 }
 
+using FetchOutcome = BufferPool::FetchOutcome;
+
 TEST(BufferPoolTest, MissThenHit) {
   BufferPool pool(128, 4);
-  EXPECT_EQ(pool.LookupAndPin(7), nullptr);
-  auto frame = pool.AllocateForRead(7);
-  ASSERT_TRUE(frame.ok());
-  // Not yet valid: lookups must miss.
-  EXPECT_EQ(pool.LookupAndPin(7), nullptr);
-  pool.MarkValid(*frame);
-  Frame* again = pool.LookupAndPin(7);
-  ASSERT_NE(again, nullptr);
-  EXPECT_EQ(again, *frame);
-  EXPECT_EQ(pool.stats().hits.load(), 1u);
+  auto miss = pool.Fetch(7);
+  ASSERT_TRUE(miss.ok());
+  EXPECT_EQ(miss->outcome, FetchOutcome::kMiss);
+  // Not yet valid: a second fetch must not see a hit.
+  auto inflight = pool.Fetch(7);
+  ASSERT_TRUE(inflight.ok());
+  EXPECT_EQ(inflight->outcome, FetchOutcome::kInFlight);
+  EXPECT_EQ(inflight->frame, miss->frame);
+  pool.Unpin(inflight->frame);
+  pool.MarkValid(miss->frame);
+  auto hit = pool.Fetch(7);
+  ASSERT_TRUE(hit.ok());
+  EXPECT_EQ(hit->outcome, FetchOutcome::kHit);
+  EXPECT_EQ(hit->frame, miss->frame);
+  // Both later fetches saved a read: the in-flight one joins the
+  // owner's I/O instead of issuing its own.
+  EXPECT_EQ(pool.stats().hits.load(), 2u);
 }
 
 TEST(BufferPoolTest, EvictsColdestUnpinned) {
   BufferPool pool(128, 2);
-  auto f0 = pool.AllocateForRead(0);
-  auto f1 = pool.AllocateForRead(1);
-  pool.MarkValid(*f0);
-  pool.MarkValid(*f1);
-  pool.Unpin(*f0);
-  pool.Unpin(*f1);
+  for (PageKey key : {PageKey{0}, PageKey{1}}) {
+    auto f = pool.Fetch(key);
+    ASSERT_TRUE(f.ok());
+    ASSERT_EQ(f->outcome, FetchOutcome::kMiss);
+    pool.MarkValid(f->frame);
+    pool.Unpin(f->frame);
+  }
   // Touch page 0 so page 1 is coldest.
-  pool.Unpin(pool.LookupAndPin(0));
-  auto f2 = pool.AllocateForRead(2);
+  auto touch = pool.Fetch(0);
+  ASSERT_TRUE(touch.ok());
+  EXPECT_EQ(touch->outcome, FetchOutcome::kHit);
+  pool.Unpin(touch->frame);
+  auto f2 = pool.Fetch(2);
   ASSERT_TRUE(f2.ok());
-  EXPECT_EQ(pool.LookupAndPin(1), nullptr);   // evicted
-  EXPECT_NE(pool.LookupAndPin(0), nullptr);   // survived
+  EXPECT_EQ(f2->outcome, FetchOutcome::kMiss);
+  pool.MarkValid(f2->frame);
+  pool.Unpin(f2->frame);
+  auto survived = pool.Fetch(0);
+  ASSERT_TRUE(survived.ok());
+  EXPECT_EQ(survived->outcome, FetchOutcome::kHit);
+  pool.Unpin(survived->frame);
+  auto evicted = pool.Fetch(1);
+  ASSERT_TRUE(evicted.ok());
+  EXPECT_EQ(evicted->outcome, FetchOutcome::kMiss);
 }
 
 TEST(BufferPoolTest, FailsWhenAllPinned) {
   BufferPool pool(128, 2);
-  auto f0 = pool.AllocateForRead(0);
-  auto f1 = pool.AllocateForRead(1);
+  auto f0 = pool.Fetch(0);
+  auto f1 = pool.Fetch(1);
   ASSERT_TRUE(f0.ok());
   ASSERT_TRUE(f1.ok());
-  auto f2 = pool.AllocateForRead(2);
+  auto f2 = pool.Fetch(2);
   EXPECT_EQ(f2.status().code(), StatusCode::kResourceExhausted);
 }
 
 TEST(BufferPoolTest, ClearDropsUnpinnedOnly) {
   BufferPool pool(128, 4);
-  auto pinned = pool.AllocateForRead(1);
-  auto unpinned = pool.AllocateForRead(2);
-  pool.MarkValid(*pinned);
-  pool.MarkValid(*unpinned);
-  pool.Unpin(*unpinned);
+  auto pinned = pool.Fetch(1);
+  auto unpinned = pool.Fetch(2);
+  ASSERT_TRUE(pinned.ok());
+  ASSERT_TRUE(unpinned.ok());
+  pool.MarkValid(pinned->frame);
+  pool.MarkValid(unpinned->frame);
+  pool.Unpin(unpinned->frame);
   pool.Clear();
-  EXPECT_EQ(pool.LookupAndPin(2), nullptr);
-  EXPECT_NE(pool.LookupAndPin(1), nullptr);
+  auto dropped = pool.Fetch(2);
+  ASSERT_TRUE(dropped.ok());
+  EXPECT_EQ(dropped->outcome, FetchOutcome::kMiss);
+  auto kept = pool.Fetch(1);
+  ASSERT_TRUE(kept.ok());
+  EXPECT_EQ(kept->outcome, FetchOutcome::kHit);
 }
 
 class AsyncIoTest : public ::testing::Test {
@@ -205,16 +232,17 @@ TEST_F(AsyncIoTest, CompletionCallbackRunsOnDrainer) {
   CompletionGroup group;
   std::atomic<int> verified{0};
   for (uint32_t pid = 0; pid < 16; ++pid) {
-    auto frame = pool.AllocateForRead(pid);
-    ASSERT_TRUE(frame.ok());
+    auto fetched = pool.Fetch(pid);
+    ASSERT_TRUE(fetched.ok());
+    ASSERT_EQ(fetched->outcome, FetchOutcome::kMiss);
+    Frame* f = fetched->frame;
     group.Add();
     ReadRequest req;
     req.file = file_.get();
     req.first_pid = pid;
     req.page_count = 1;
-    req.frames = {*frame};
+    req.frames = {f};
     req.completion_queue = &queue;
-    Frame* f = *frame;
     req.callback = [&, pid, f](const Status& s) {
       // EXPECT (not ASSERT): an early return here would skip Done() and
       // hang the drain loop below instead of failing the test.
@@ -244,15 +272,16 @@ TEST_F(AsyncIoTest, CallbackCanChainSubmissions) {
   std::atomic<int> completed{0};
 
   std::function<void(uint32_t)> submit = [&](uint32_t pid) {
-    auto frame = pool.AllocateForRead(pid);
-    ASSERT_TRUE(frame.ok());
+    auto fetched = pool.Fetch(pid);
+    ASSERT_TRUE(fetched.ok());
+    ASSERT_EQ(fetched->outcome, FetchOutcome::kMiss);
+    Frame* f = fetched->frame;
     ReadRequest req;
     req.file = file_.get();
     req.first_pid = pid;
     req.page_count = 1;
-    req.frames = {*frame};
+    req.frames = {f};
     req.completion_queue = &queue;
-    Frame* f = *frame;
     req.callback = [&, f](const Status& s) {
       EXPECT_TRUE(s.ok()) << s.ToString();
       pool.Unpin(f);
@@ -284,13 +313,15 @@ TEST_F(AsyncIoTest, ReportsReadErrors) {
   CompletionQueue queue;
   CompletionGroup group;
   Status seen;
-  auto frame = pool.AllocateForRead(0);
+  auto fetched = pool.Fetch(0);
+  ASSERT_TRUE(fetched.ok());
+  ASSERT_EQ(fetched->outcome, FetchOutcome::kMiss);
   group.Add();
   ReadRequest req;
   req.file = file->get();
   req.first_pid = 0;
   req.page_count = 1;
-  req.frames = {*frame};
+  req.frames = {fetched->frame};
   req.completion_queue = &queue;
   req.callback = [&](const Status& s) {
     seen = s;

@@ -62,9 +62,6 @@ void PrintStats(const StatsResult& stats) {
   uint64_t fetch_lookups = 0;
   uint64_t fetch_hits = 0;
   uint64_t io_giveups = 0;
-  uint64_t bitmap_calls = 0, bitmap_elements = 0;
-  uint64_t merge_calls = 0, merge_elements = 0;
-  uint64_t hub_bitmaps_built = 0;
   uint64_t perf_cycles = 0, perf_instructions = 0, perf_llc_misses = 0;
   uint64_t perf_task_clock_ns = 0;
   if (!stats.counters.empty()) {
@@ -74,27 +71,6 @@ void PrintStats(const StatsResult& stats) {
       if (c.name == "pool.fetch.lookups") fetch_lookups = c.value;
       if (c.name == "pool.fetch.hits") fetch_hits = c.value;
       if (c.name == "io.giveups") io_giveups = c.value;
-      // The bitmap hybrid's two kernels vs the merge family (scalar /
-      // sse / avx2) — the split behind the hub-routing speedup.
-      if (c.name == "opt.intersect.bitmap.calls" ||
-          c.name == "opt.intersect.bitmap_scalar.calls") {
-        bitmap_calls += c.value;
-      }
-      if (c.name == "opt.intersect.bitmap.elements" ||
-          c.name == "opt.intersect.bitmap_scalar.elements") {
-        bitmap_elements += c.value;
-      }
-      if (c.name == "opt.intersect.scalar.calls" ||
-          c.name == "opt.intersect.sse.calls" ||
-          c.name == "opt.intersect.avx2.calls") {
-        merge_calls += c.value;
-      }
-      if (c.name == "opt.intersect.scalar.elements" ||
-          c.name == "opt.intersect.sse.elements" ||
-          c.name == "opt.intersect.avx2.elements") {
-        merge_elements += c.value;
-      }
-      if (c.name == "opt.hub.bitmaps_built") hub_bitmaps_built = c.value;
       if (c.name == "opt.perf.cycles") perf_cycles = c.value;
       if (c.name == "opt.perf.instructions") perf_instructions = c.value;
       if (c.name == "opt.perf.llc_misses") perf_llc_misses = c.value;
@@ -103,8 +79,8 @@ void PrintStats(const StatsResult& stats) {
     std::printf("\n");
     table.Print();
   }
-  // Gauge-valued lines only travel in the text section; pull the hub
-  // levels and the perf backend name out of it.
+  // Gauge-valued lines only travel in the text section; pull the perf
+  // backend name out of it.
   auto text_value = [&stats](const std::string& key) -> std::string {
     const std::string needle = key + "=";
     size_t pos = stats.text.find(needle);
@@ -120,26 +96,7 @@ void PrintStats(const StatsResult& stats) {
                                         ? std::string::npos
                                         : end - start);
   };
-  const std::string hub_peak_bytes = text_value("opt.hub.bitmap_peak_bytes");
-  const std::string hub_threshold = text_value("opt.hub.degree_threshold");
   const std::string perf_backend = text_value("perf.backend");
-  if (bitmap_calls > 0 || hub_bitmaps_built > 0 || !hub_peak_bytes.empty()) {
-    TablePrinter table({"hub/bitmap", "value"});
-    table.AddRow({"bitmap kernel calls", TablePrinter::Fmt(bitmap_calls)});
-    table.AddRow(
-        {"bitmap kernel elements", TablePrinter::Fmt(bitmap_elements)});
-    table.AddRow({"merge kernel calls", TablePrinter::Fmt(merge_calls)});
-    table.AddRow(
-        {"merge kernel elements", TablePrinter::Fmt(merge_elements)});
-    table.AddRow(
-        {"hub bitmaps built", TablePrinter::Fmt(hub_bitmaps_built)});
-    table.AddRow({"hub bitmap peak bytes",
-                  hub_peak_bytes.empty() ? "0" : hub_peak_bytes});
-    table.AddRow({"hub degree threshold",
-                  hub_threshold.empty() ? "-" : hub_threshold});
-    std::printf("\n");
-    table.Print();
-  }
   // Summary block: pool efficiency plus the two "is anything wrong"
   // numbers (degraded queries, I/O retry give-ups).
   uint64_t degraded = 0;

@@ -4,14 +4,12 @@
 //   triangle_count --store /path/base [--method OPT|OPT_serial|MGT|
 //       CC-Seq|CC-DS|GraphChi-Tri|ideal] [--buffer_percent 15]
 //       [--threads N] [--list FILE]
-//       [--kernel scalar|sse|avx2|bitmap|bitmap_scalar|auto]
-//       [--hub_split off|auto|pNN|<degree>]
+//       [--kernel scalar|sse|avx2|auto]
 #include <cstdio>
 #include <optional>
 #include <string>
 
 #include "core/iterator_model.h"
-#include "graph/hub_bitmap.h"
 #include "graph/intersect.h"
 #include "core/opt_runner.h"
 #include "core/triangle_sink.h"
@@ -46,8 +44,7 @@ int main(int argc, char** argv) {
   std::optional<IntersectKernel> kernel;
   if (cl->Has("kernel")) {
     auto choice = cl->GetChoice(
-        "kernel", {"scalar", "sse", "avx2", "bitmap", "bitmap_scalar", "auto"},
-        "auto");
+        "kernel", {"scalar", "sse", "avx2", "auto"}, "auto");
     if (!choice.ok()) {
       std::fprintf(stderr, "%s\n", choice.status().ToString().c_str());
       return 2;
@@ -58,20 +55,9 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  std::optional<HubSplitSpec> hub_split;
-  if (cl->Has("hub_split")) {
-    auto split = HubSplitSpec::Parse(cl->GetString("hub_split", "auto"));
-    if (!split.ok()) {
-      std::fprintf(stderr, "%s\n", split.status().ToString().c_str());
-      return 2;
-    }
-    hub_split = *split;
-    SetDefaultHubSplit(*split);
-  }
 
   MethodConfig config;
   config.kernel = kernel;
-  config.hub_split = hub_split;
   config.memory_pages = PagesForBufferPercent(
       **store, cl->GetDouble("buffer_percent", 15.0));
   config.num_threads = static_cast<uint32_t>(cl->GetInt("threads", 2));
@@ -85,7 +71,6 @@ int main(int argc, char** argv) {
     options.m_ex = std::max(1u, config.memory_pages / 2);
     options.num_threads = config.num_threads;
     options.kernel = kernel;
-    options.hub_split = hub_split;
     EdgeIteratorModel model;
     OptRunner runner(store->get(), &model, options);
     ListingSink listing(Env::Default(), list_path);
@@ -121,11 +106,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(result->intersect.TotalCalls()),
               static_cast<unsigned long long>(
                   result->intersect.TotalElements()));
-  if (result->hub_bitmaps_built > 0) {
-    std::printf("hub split: degree >= %u (%llu bitmaps built)\n",
-                result->hub_degree_threshold,
-                static_cast<unsigned long long>(result->hub_bitmaps_built));
-  }
   std::printf("triangles: %llu\n",
               static_cast<unsigned long long>(result->triangles));
   std::printf("elapsed:   %.3f s\n", result->seconds);
