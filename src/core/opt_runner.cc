@@ -18,6 +18,11 @@ namespace opt {
 
 namespace {
 
+/// Bound on waiting for a page another query is loading into the shared
+/// pool: a reader that dies without publishing MarkValid/MarkFailed
+/// costs this much wall time and a typed Unavailable, not a hung query.
+constexpr uint64_t kIoWaitTimeoutMillis = 10000;
+
 /// Registry counters fed once per Run() from OptRunStats. The cache-hit
 /// counters are the paper's Δin / Δex: pages the buffer pool saved the
 /// run from re-reading (§3.3's cost identity, exposed live via STATS).
@@ -331,7 +336,7 @@ void ProcessChunk(RunContext* ctx, Chunk chunk,
   Status frames_ready;
   for (size_t i = 0; i < frames.size(); ++i) {
     frames_ready =
-        ctx->pool->WaitValid(frames[i], ctx->options.io_wait_timeout_millis);
+        ctx->pool->WaitValid(frames[i], kIoWaitTimeoutMillis);
     if (!frames_ready.ok()) {
       if (ctx->flight != nullptr && frames_ready.IsUnavailable()) {
         ctx->flight->Record(FlightEventType::kWaitTimeout,
@@ -701,8 +706,7 @@ Status OptRunner::Run(TriangleSink* sink, OptRunStats* stats) {
       iter.internal_cache_hits++;
       if (fetch->outcome == BufferPool::FetchOutcome::kInFlight) {
         OverlapProfiler::SetRole(ThreadRole::kIoWait);
-        const Status w =
-            pool->WaitValid(f, options_.io_wait_timeout_millis);
+        const Status w = pool->WaitValid(f, kIoWaitTimeoutMillis);
         if (!w.ok()) {
           if (ctx.flight != nullptr && w.IsUnavailable()) {
             ctx.flight->Record(FlightEventType::kWaitTimeout, pid);

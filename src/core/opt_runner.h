@@ -77,11 +77,6 @@ struct OptOptions {
   /// transient device faults a few times with backoff; IoRetryPolicy::
   /// None() restores fail-fast.
   IoRetryPolicy io_retry;
-  /// Bound on waiting for a page another query is loading (shared
-  /// pools). 0 waits forever; with a bound, a reader that dies without
-  /// publishing MarkValid/MarkFailed costs this much wall time and a
-  /// typed Unavailable instead of a hung query.
-  uint64_t io_wait_timeout_millis = 10000;
   /// Run the overlap profiler for this run: worker threads publish role
   /// timelines, a sampler folds them into OptRunStats::overlap (macro /
   /// micro overlap fractions, morph count, cost-model residual).

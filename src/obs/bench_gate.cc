@@ -52,21 +52,8 @@ Result<BenchRun> ParseBenchRun(const std::string& text) {
   if (!parsed.ok()) return parsed.status();
   BenchRun run;
   const JsonValue& doc = *parsed;
-  if (doc.is_array()) {
-    // Legacy bare-array baseline (pre-unified-schema PRs).
-    run.rows = doc.items();
-    if (!run.rows.empty()) {
-      const JsonValue& first = run.rows.front();
-      if (first.Get("experiment").is_string()) {
-        run.experiment = first.Get("experiment").AsString();
-      } else if (first.Has("config")) {
-        run.experiment = "ablation_overlap";
-      }
-    }
-    return run;
-  }
   if (!doc.is_object()) {
-    return Status::InvalidArgument("bench file: expected object or array");
+    return Status::InvalidArgument("bench file: expected object");
   }
   if (doc.Has("benchmarks")) {
     // google-benchmark --benchmark_format=json.
@@ -85,7 +72,7 @@ Result<BenchRun> ParseBenchRun(const std::string& text) {
   }
   if (!doc.Has("schema_version")) {
     return Status::InvalidArgument(
-        "bench file: no schema_version and not a recognized legacy format");
+        "bench file: neither schema_version nor google-benchmark JSON");
   }
   run.schema_version = static_cast<int>(doc.Get("schema_version").AsInt());
   run.experiment = doc.Get("experiment").AsString();

@@ -3,10 +3,9 @@
 // tools/bench_check feeds this: a baseline file plus one or more fresh
 // runs of the same experiment (best-of-N absorbs scheduler noise), a
 // per-metric spec saying which direction is "better" and how much noise
-// to tolerate, and a pass/regress verdict per (row, metric). Three file
+// to tolerate, and a pass/regress verdict per (row, metric). Two file
 // formats are understood:
 //   - the unified bench schema (bench_common.h: schema_version envelope)
-//   - legacy bare-array baselines from earlier PRs
 //   - google-benchmark --benchmark_format=json output
 // Host-dependent metrics (throughput, seconds) only gate when baseline
 // and fresh runs carry the same host fingerprint — CI baselines
@@ -30,12 +29,12 @@ struct BenchHost {
   int64_t nproc = 0;
   std::string machine;
 
-  /// Empty when the file carried no host info (legacy baselines).
+  /// Empty when the file carried no host info.
   std::string Fingerprint() const;
 };
 
 struct BenchRun {
-  int schema_version = 0;  // 0 = legacy array or google-benchmark
+  int schema_version = 0;  // 0 = google-benchmark
   std::string experiment;  // "gbench" for google-benchmark files
   BenchHost host;
   std::string perf_backend;

@@ -58,13 +58,11 @@ class OptClient {
       const std::function<void(const ListBatch&)>& on_batch,
       const ClientQueryOptions& options = {});
 
-  /// STATS: newline-separated key=value text (legacy view; ignores the
-  /// structured registry fields newer servers append).
+  /// STATS: just the newline-separated key=value text of StatsFull().
   Result<std::string> Stats();
 
   /// STATS with the structured registry fields: histogram quantiles and
-  /// counters. Against a pre-registry server the vectors come back empty
-  /// and `text` is the whole answer.
+  /// counters.
   Result<StatsResult> StatsFull();
 
   Status LoadGraph(const std::string& name, const std::string& base_path);
@@ -96,8 +94,7 @@ class OptClient {
 
   /// TRACE_PULL: drains (or, with drain=false, peeks) the peer's
   /// bounded span ring. Against a router the reply carries the router's
-  /// section plus one per shard, ready for AssembleTrace(). Servers
-  /// predating the op answer NotSupported.
+  /// section plus one per shard, ready for AssembleTrace().
   Result<TracePullResult> TracePull(bool drain = true);
 
   /// Flight-recorder tail from the most recent server ERROR reply on
@@ -109,13 +106,13 @@ class OptClient {
   }
 
   /// Trace id carried by the most recent server ERROR reply (0 when the
-  /// request was untraced or the server predates tracing).
+  /// request was untraced).
   uint64_t last_error_trace_id() const { return last_error_trace_id_; }
 
  private:
   Status SendRequest(MessageType type, std::string_view payload);
   Status ReadReply(WireMessage* message);
-  /// Decodes an ERROR frame, stashing any event tail for
+  /// Decodes an ERROR frame, stashing its events for
   /// last_error_events().
   Status ErrorFromReply(const WireMessage& message);
 

@@ -114,12 +114,13 @@ Result<GraphRegistry::DeltaOutcome> GraphRegistry::ApplyEdgeDelta(
 
   // Base reads go through Env, so injected device faults apply here like
   // anywhere else. Transient faults heal on reread within the bounded
-  // budget; terminal I/O failure degrades the mutation to Unavailable
-  // (the delta is NOT applied — nothing is ever silently dropped).
-  const uint32_t attempts = std::max(options_.delta_read_attempts, 1u);
+  // budget (matching the query path's retry contract); terminal I/O
+  // failure degrades the mutation to Unavailable (the delta is NOT
+  // applied — nothing is ever silently dropped).
+  constexpr uint32_t kDeltaReadAttempts = 4;
   AdjacencyFetcher fetch = [&](VertexId v, std::vector<VertexId>* out) {
     Status last = Status::OK();
-    for (uint32_t attempt = 0; attempt < attempts; ++attempt) {
+    for (uint32_t attempt = 0; attempt < kDeltaReadAttempts; ++attempt) {
       last = ReadAdjacency(*store, v, out);
       // Only device-level failures are worth a reread (transient faults
       // and torn pages heal); anything else is terminal as-is.
@@ -130,7 +131,7 @@ Result<GraphRegistry::DeltaOutcome> GraphRegistry::ApplyEdgeDelta(
     if (last.IsIOError()) {
       return Status::Unavailable(
           "base adjacency of vertex " + std::to_string(v) +
-          " unreadable after " + std::to_string(attempts) +
+          " unreadable after " + std::to_string(kDeltaReadAttempts) +
           " attempts: " + last.message());
     }
     return last;

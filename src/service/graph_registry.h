@@ -46,10 +46,6 @@ struct RegistryOptions {
   /// counter; 0 disables it (the exact overlay path is always on).
   uint64_t approx_reservoir_edges = 0;
   uint64_t approx_seed = 0x7A1E57;
-  /// Read attempts per base-adjacency fetch during delta application
-  /// (transient device faults heal by reread, matching the query path's
-  /// retry contract).
-  uint32_t delta_read_attempts = 4;
 };
 
 class GraphRegistry {

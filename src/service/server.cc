@@ -68,16 +68,12 @@ class WireListSink : public TriangleSink {
   Status write_status_;
 };
 
-Status SendError(int fd, const Status& status) {
-  return WriteMessage(fd, MessageType::kError, EncodeError(status));
-}
-
-/// Degraded queries ship their flight-recorder tail with the error,
+/// Degraded queries ship their flight-recorder events with the error,
 /// plus the request's trace id so the client can line the events up
 /// with the distributed trace.
 Status SendError(int fd, const Status& status,
-                 const std::vector<FlightEvent>& events,
-                 uint64_t trace_id) {
+                 const std::vector<FlightEvent>& events = {},
+                 uint64_t trace_id = 0) {
   return WriteMessage(fd, MessageType::kError,
                       EncodeError(status, events, trace_id));
 }

@@ -117,6 +117,14 @@ Status PayloadReader::GetString(std::string* value) {
   return Status::OK();
 }
 
+Status PayloadReader::ExpectEnd() const {
+  if (pos_ != data_.size()) {
+    return Status::Corruption("payload has " + std::to_string(remaining()) +
+                              " trailing bytes");
+  }
+  return Status::OK();
+}
+
 Status PayloadReader::GetCount(uint32_t* count, size_t min_element_bytes,
                                const char* what) {
   OPT_RETURN_IF_ERROR(GetU32(count));
@@ -146,12 +154,9 @@ Status DecodeQueryRequest(std::string_view payload, QueryRequest* out) {
   OPT_RETURN_IF_ERROR(reader.GetU32(&out->memory_pages));
   OPT_RETURN_IF_ERROR(reader.GetU32(&out->num_threads));
   OPT_RETURN_IF_ERROR(reader.GetU64(&out->deadline_millis));
-  // Pre-tracing frames end here and decode as untraced.
-  out->trace_id = 0;
-  out->parent_span_id = 0;
-  if (reader.AtEnd()) return Status::OK();
   OPT_RETURN_IF_ERROR(reader.GetU64(&out->trace_id));
-  return reader.GetU64(&out->parent_span_id);
+  OPT_RETURN_IF_ERROR(reader.GetU64(&out->parent_span_id));
+  return reader.ExpectEnd();
 }
 
 std::string EncodeCountResult(const CountResult& result) {
@@ -175,12 +180,9 @@ Status DecodeCountResult(std::string_view payload, CountResult* out) {
   OPT_RETURN_IF_ERROR(reader.GetU64(&out->pool_hits));
   OPT_RETURN_IF_ERROR(reader.GetU64(&out->pages_read));
   OPT_RETURN_IF_ERROR(reader.GetU32(&out->iterations));
-  // Pre-router frames end here; the sharding tail decodes as "complete".
-  out->partial_shards = 0;
-  out->num_shards = 0;
-  if (reader.AtEnd()) return Status::OK();
   OPT_RETURN_IF_ERROR(reader.GetU64(&out->partial_shards));
-  return reader.GetU32(&out->num_shards);
+  OPT_RETURN_IF_ERROR(reader.GetU32(&out->num_shards));
+  return reader.ExpectEnd();
 }
 
 std::string EncodeLoadGraphRequest(const LoadGraphRequest& request) {
@@ -194,7 +196,8 @@ Status DecodeLoadGraphRequest(std::string_view payload,
                               LoadGraphRequest* out) {
   PayloadReader reader(payload);
   OPT_RETURN_IF_ERROR(reader.GetString(&out->name));
-  return reader.GetString(&out->base_path);
+  OPT_RETURN_IF_ERROR(reader.GetString(&out->base_path));
+  return reader.ExpectEnd();
 }
 
 std::string EncodeMutateRequest(const MutateRequest& request) {
@@ -231,11 +234,9 @@ Status DecodeMutateRequest(std::string_view payload, MutateRequest* out) {
     OPT_RETURN_IF_ERROR(reader.GetU32(&v));
     out->edges.emplace_back(u, v);
   }
-  out->trace_id = 0;
-  out->parent_span_id = 0;
-  if (reader.AtEnd()) return Status::OK();
   OPT_RETURN_IF_ERROR(reader.GetU64(&out->trace_id));
-  return reader.GetU64(&out->parent_span_id);
+  OPT_RETURN_IF_ERROR(reader.GetU64(&out->parent_span_id));
+  return reader.ExpectEnd();
 }
 
 std::string EncodeMutateResult(const MutateResult& result) {
@@ -264,11 +265,9 @@ Status DecodeMutateResult(std::string_view payload, MutateResult* out) {
   OPT_RETURN_IF_ERROR(reader.GetDouble(&out->seconds));
   OPT_RETURN_IF_ERROR(reader.GetU8(&out->approx_valid));
   OPT_RETURN_IF_ERROR(reader.GetDouble(&out->approx_triangles));
-  out->partial_shards = 0;
-  out->num_shards = 0;
-  if (reader.AtEnd()) return Status::OK();
   OPT_RETURN_IF_ERROR(reader.GetU64(&out->partial_shards));
-  return reader.GetU32(&out->num_shards);
+  OPT_RETURN_IF_ERROR(reader.GetU32(&out->num_shards));
+  return reader.ExpectEnd();
 }
 
 std::string EncodeSubscribeCountRequest(
@@ -288,11 +287,9 @@ Status DecodeSubscribeCountRequest(std::string_view payload,
   OPT_RETURN_IF_ERROR(reader.GetString(&out->graph));
   OPT_RETURN_IF_ERROR(reader.GetU64(&out->after_epoch));
   OPT_RETURN_IF_ERROR(reader.GetU64(&out->timeout_millis));
-  out->trace_id = 0;
-  out->parent_span_id = 0;
-  if (reader.AtEnd()) return Status::OK();
   OPT_RETURN_IF_ERROR(reader.GetU64(&out->trace_id));
-  return reader.GetU64(&out->parent_span_id);
+  OPT_RETURN_IF_ERROR(reader.GetU64(&out->parent_span_id));
+  return reader.ExpectEnd();
 }
 
 std::string EncodeSubscribeCountResult(const SubscribeCountResult& result) {
@@ -325,15 +322,9 @@ Status DecodeSubscribeCountResult(std::string_view payload,
   OPT_RETURN_IF_ERROR(reader.GetU64(&out->edges_removed));
   OPT_RETURN_IF_ERROR(reader.GetU8(&out->approx_valid));
   OPT_RETURN_IF_ERROR(reader.GetDouble(&out->approx_triangles));
-  out->partial_shards = 0;
-  out->num_shards = 0;
-  if (reader.AtEnd()) return Status::OK();
   OPT_RETURN_IF_ERROR(reader.GetU64(&out->partial_shards));
-  return reader.GetU32(&out->num_shards);
-}
-
-std::string EncodeError(const Status& status) {
-  return EncodeError(status, {});
+  OPT_RETURN_IF_ERROR(reader.GetU32(&out->num_shards));
+  return reader.ExpectEnd();
 }
 
 std::string EncodeError(const Status& status,
@@ -358,10 +349,6 @@ Status DecodeError(std::string_view payload, ErrorResult* out) {
   OPT_RETURN_IF_ERROR(reader.GetU32(&out->code));
   OPT_RETURN_IF_ERROR(reader.GetString(&out->message));
   out->events.clear();
-  out->trace_id = 0;
-  // A payload ending here came from a server predating the flight
-  // recorder — code + message are the whole answer.
-  if (reader.AtEnd()) return Status::OK();
   uint32_t num_events;  // each event: u64 + u8 + u64 + u64
   OPT_RETURN_IF_ERROR(reader.GetCount(&num_events, 25, "flight events"));
   out->events.reserve(num_events);
@@ -375,10 +362,8 @@ Status DecodeError(std::string_view payload, ErrorResult* out) {
     OPT_RETURN_IF_ERROR(reader.GetU64(&event.b));
     out->events.push_back(event);
   }
-  // Pre-tracing servers end after the flight events.
-  out->trace_id = 0;
-  if (reader.AtEnd()) return Status::OK();
-  return reader.GetU64(&out->trace_id);
+  OPT_RETURN_IF_ERROR(reader.GetU64(&out->trace_id));
+  return reader.ExpectEnd();
 }
 
 std::string EncodeProfileResult(const ProfileResult& result) {
@@ -438,7 +423,8 @@ Status DecodeProfileResult(std::string_view payload, ProfileResult* out) {
   OPT_RETURN_IF_ERROR(reader.GetDouble(&out->cost_ideal_seconds));
   OPT_RETURN_IF_ERROR(reader.GetDouble(&out->cost_predicted_seconds));
   OPT_RETURN_IF_ERROR(reader.GetDouble(&out->cost_measured_seconds));
-  return reader.GetDouble(&out->cost_residual_seconds);
+  OPT_RETURN_IF_ERROR(reader.GetDouble(&out->cost_residual_seconds));
+  return reader.ExpectEnd();
 }
 
 std::string EncodeListBatch(const ListBatch& batch) {
@@ -473,7 +459,7 @@ Status DecodeListBatch(std::string_view payload, ListBatch* out) {
     }
     out->records.push_back(std::move(record));
   }
-  return Status::OK();
+  return reader.ExpectEnd();
 }
 
 std::string EncodeListEnd(const ListEnd& end) {
@@ -489,11 +475,9 @@ Status DecodeListEnd(std::string_view payload, ListEnd* out) {
   PayloadReader reader(payload);
   OPT_RETURN_IF_ERROR(reader.GetU64(&out->triangles));
   OPT_RETURN_IF_ERROR(reader.GetDouble(&out->seconds));
-  out->partial_shards = 0;
-  out->num_shards = 0;
-  if (reader.AtEnd()) return Status::OK();
   OPT_RETURN_IF_ERROR(reader.GetU64(&out->partial_shards));
-  return reader.GetU32(&out->num_shards);
+  OPT_RETURN_IF_ERROR(reader.GetU32(&out->num_shards));
+  return reader.ExpectEnd();
 }
 
 std::string EncodeStatsResult(const StatsResult& stats) {
@@ -523,9 +507,6 @@ Status DecodeStatsResult(std::string_view payload, StatsResult* out) {
   OPT_RETURN_IF_ERROR(reader.GetString(&out->text));
   out->histograms.clear();
   out->counters.clear();
-  // A payload ending here came from a server predating the structured
-  // registry fields — the text is the whole answer.
-  if (reader.AtEnd()) return Status::OK();
   uint32_t num_histograms;  // each: name length + 3 u64 + 4 doubles
   OPT_RETURN_IF_ERROR(
       reader.GetCount(&num_histograms, 60, "stats histograms"));
@@ -551,7 +532,7 @@ Status DecodeStatsResult(std::string_view payload, StatsResult* out) {
     OPT_RETURN_IF_ERROR(reader.GetU64(&counter.value));
     out->counters.push_back(std::move(counter));
   }
-  return Status::OK();
+  return reader.ExpectEnd();
 }
 
 std::string EncodeShardStatsResult(const ShardStatsResult& stats) {
@@ -605,7 +586,7 @@ Status DecodeShardStatsResult(std::string_view payload,
     OPT_RETURN_IF_ERROR(reader.GetDouble(&shard.latency_p99_micros));
     out->shards.push_back(std::move(shard));
   }
-  return Status::OK();
+  return reader.ExpectEnd();
 }
 
 std::string EncodeTracePullRequest(const TracePullRequest& request) {
@@ -617,9 +598,8 @@ std::string EncodeTracePullRequest(const TracePullRequest& request) {
 Status DecodeTracePullRequest(std::string_view payload,
                               TracePullRequest* out) {
   PayloadReader reader(payload);
-  out->drain = 1;
-  if (reader.AtEnd()) return Status::OK();
-  return reader.GetU8(&out->drain);
+  OPT_RETURN_IF_ERROR(reader.GetU8(&out->drain));
+  return reader.ExpectEnd();
 }
 
 std::string EncodeTracePullResult(const TracePullResult& result) {
@@ -687,7 +667,7 @@ Status DecodeTracePullResult(std::string_view payload,
     }
     out->processes.push_back(std::move(process));
   }
-  return Status::OK();
+  return reader.ExpectEnd();
 }
 
 Status WriteMessage(int fd, MessageType type, std::string_view payload) {

@@ -11,6 +11,12 @@
 // frames (nested representation: u, v, k, w1..wk per record) terminated
 // by LIST_END or ERROR. Errors carry the Status code + message across
 // the wire.
+//
+// Every payload has one fixed layout, and its decoder must consume it
+// exactly: a frame that stops early or carries trailing bytes is
+// Corruption. All peers (opt_client, opt_server, opt_router, the shard
+// children) are built from this tree, so a new field is added to the
+// encoder and the decoder together; there are no optional tails.
 #ifndef OPT_SERVICE_WIRE_H_
 #define OPT_SERVICE_WIRE_H_
 
@@ -76,10 +82,8 @@ struct QueryRequest {
   uint32_t memory_pages = 0;    // 0 = server default
   uint32_t num_threads = 0;     // 0 = server default
   uint64_t deadline_millis = 0; // 0 = none
-  /// Distributed-tracing tail (appended on the wire like the router's
-  /// partial_shards trick): the request tree's id and the caller's
-  /// span. Old servers read the fixed fields and ignore the trailing
-  /// bytes; old clients send none and both decode as zero (untraced).
+  /// Distributed tracing: the request tree's id and the caller's span
+  /// (both 0 = untraced).
   uint64_t trace_id = 0;
   uint64_t parent_span_id = 0;
 };
@@ -91,10 +95,9 @@ struct CountResult {
   uint64_t pool_hits = 0;
   uint64_t pages_read = 0;
   uint32_t iterations = 0;
-  /// Sharded-router tail (appended on the wire; absent from plain
-  /// opt_server frames and decoded as zero). Bit i set means shard i
-  /// failed and its contribution is missing from `triangles` — 0 is a
-  /// complete answer. `num_shards` sizes the mask (0 = unsharded).
+  /// Sharded-router mask (plain opt_server sends zeros). Bit i set means
+  /// shard i failed and its contribution is missing from `triangles` —
+  /// 0 is a complete answer. `num_shards` sizes the mask (0 = unsharded).
   uint64_t partial_shards = 0;
   uint32_t num_shards = 0;
 };
@@ -110,7 +113,7 @@ struct LoadGraphRequest {
 struct MutateRequest {
   std::string graph;
   std::vector<std::pair<VertexId, VertexId>> edges;
-  /// Trace tail — see QueryRequest.
+  /// Trace ids — see QueryRequest.
   uint64_t trace_id = 0;
   uint64_t parent_span_id = 0;
 };
@@ -123,7 +126,7 @@ struct MutateResult {
   double seconds = 0;
   uint8_t approx_valid = 0;  // sampling estimator enabled and untainted
   double approx_triangles = 0;
-  /// Router tail: shards whose sub-batch did NOT commit (their edges are
+  /// Router mask: shards whose sub-batch did NOT commit (their edges are
   /// retryable verbatim — per-shard batches stay all-or-nothing).
   uint64_t partial_shards = 0;
   uint32_t num_shards = 0;
@@ -137,7 +140,7 @@ struct SubscribeCountRequest {
   /// Long-poll budget; the reply carries `timed_out` when it elapsed
   /// without an epoch advance.
   uint64_t timeout_millis = 0;
-  /// Trace tail — see QueryRequest.
+  /// Trace ids — see QueryRequest.
   uint64_t trace_id = 0;
   uint64_t parent_span_id = 0;
 };
@@ -155,19 +158,15 @@ struct SubscribeCountResult {
   uint64_t edges_removed = 0;
   uint8_t approx_valid = 0;
   double approx_triangles = 0;
-  /// Router tail: shards whose snapshot could not be fetched (their
+  /// Router mask: shards whose snapshot could not be fetched (their
   /// contribution is missing from the merged totals).
   uint64_t partial_shards = 0;
   uint32_t num_shards = 0;
 };
 
-/// STATS reply. The legacy `text` field (newline-separated key=value
-/// lines) comes first in the payload, so clients predating the
-/// structured fields decode the string and ignore the trailing bytes;
-/// new clients reading an old server's frame get empty vectors. The
-/// structured fields carry the live metrics registry: per-query latency
-/// histogram quantiles and counters (Δin/Δex page savings, pool fetch
-/// outcomes, I/O totals).
+/// STATS reply: `text` (newline-separated key=value lines) plus the
+/// live metrics registry: per-query latency histogram quantiles and
+/// counters (Δin/Δex page savings, pool fetch outcomes, I/O totals).
 struct StatsHistogram {
   std::string name;
   uint64_t count = 0;
@@ -193,14 +192,12 @@ struct StatsResult {
 struct ErrorResult {
   uint32_t code = 0;  // StatusCode
   std::string message;
-  /// Flight-recorder tail of the failed query — filled for degraded
+  /// Flight-recorder events of the failed query — filled for degraded
   /// (Unavailable) queries so the response ships its own postmortem.
-  /// Appended after `message` on the wire: old clients decode code +
-  /// message and ignore the tail; old servers simply send none.
   std::vector<FlightEvent> events;
-  /// Second tail: the failed request's trace id (0 = untraced), so the
-  /// terminal error, its flight-recorder postmortem, the [trace=...]
-  /// log lines, and the assembled trace tree all correlate.
+  /// The failed request's trace id (0 = untraced), so the terminal
+  /// error, its flight-recorder postmortem, the [trace=...] log lines,
+  /// and the assembled trace tree all correlate.
   uint64_t trace_id = 0;
 
   Status ToStatus() const {
@@ -249,7 +246,7 @@ struct ListBatch {
 struct ListEnd {
   uint64_t triangles = 0;
   double seconds = 0;
-  /// Router tail: see CountResult.
+  /// Router mask: see CountResult.
   uint64_t partial_shards = 0;
   uint32_t num_shards = 0;
 };
@@ -317,7 +314,8 @@ class PayloadReader {
   /// hostile count never reaches reserve().
   Status GetCount(uint32_t* count, size_t min_element_bytes,
                   const char* what);
-  bool AtEnd() const { return pos_ == data_.size(); }
+  /// Corruption when bytes are left over; every Decode* ends with it.
+  Status ExpectEnd() const;
   size_t remaining() const { return data_.size() - pos_; }
 
  private:
@@ -350,15 +348,11 @@ std::string EncodeSubscribeCountResult(const SubscribeCountResult& result);
 Status DecodeSubscribeCountResult(std::string_view payload,
                                   SubscribeCountResult* out);
 
-std::string EncodeError(const Status& status);
-/// With a flight-recorder tail appended (degraded queries) and the
-/// request's trace id (0 = untraced) after it.
+/// `events` is the flight-recorder postmortem of a degraded query;
+/// `trace_id` is the failed request's (0 = untraced).
 std::string EncodeError(const Status& status,
-                        const std::vector<FlightEvent>& events,
+                        const std::vector<FlightEvent>& events = {},
                         uint64_t trace_id = 0);
-/// Tolerates payloads that end after `message` (pre-flight-recorder
-/// servers leave `events` empty) or after `events` (pre-tracing servers
-/// leave `trace_id` zero).
 Status DecodeError(std::string_view payload, ErrorResult* out);
 
 std::string EncodeProfileResult(const ProfileResult& result);
@@ -371,7 +365,6 @@ std::string EncodeListEnd(const ListEnd& end);
 Status DecodeListEnd(std::string_view payload, ListEnd* out);
 
 std::string EncodeStatsResult(const StatsResult& stats);
-/// Tolerates payloads that end after `text` (pre-registry servers).
 Status DecodeStatsResult(std::string_view payload, StatsResult* out);
 
 std::string EncodeShardStatsResult(const ShardStatsResult& stats);

@@ -36,8 +36,10 @@ void PageBuilder::AddSegment(VertexId vertex, uint32_t total_degree,
   EncodeFixed32(buffer_ + data_end_ + 8, offset);
   EncodeFixed32(buffer_ + data_end_ + 12,
                 static_cast<uint32_t>(neighbors.size()));
-  std::memcpy(buffer_ + data_end_ + kSegmentHeaderSize, neighbors.data(),
-              neighbors.size() * sizeof(VertexId));
+  if (!neighbors.empty()) {
+    std::memcpy(buffer_ + data_end_ + kSegmentHeaderSize, neighbors.data(),
+                neighbors.size() * sizeof(VertexId));
+  }
   data_end_ += kSegmentHeaderSize +
                static_cast<uint32_t>(neighbors.size() * sizeof(VertexId));
   ++num_slots_;

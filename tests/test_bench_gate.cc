@@ -1,5 +1,5 @@
 // Tests for the bench-regression gate (obs/bench_gate) and the JSON
-// parser under it (util/json): format auto-detection across the three
+// parser under it (util/json): format auto-detection across the two
 // baseline flavors, tolerance/margin semantics, best-of-N, and the
 // host-fingerprint downgrade for host-dependent metrics.
 #include <gtest/gtest.h>
@@ -70,23 +70,6 @@ TEST(BenchRunParse, UnifiedSchema) {
   EXPECT_EQ(run->host.Fingerprint(), "ci-box/8/x86_64");
   ASSERT_EQ(run->rows.size(), 2u);
   EXPECT_EQ(run->rows[0].Get("config").AsString(), "opt_serial");
-}
-
-TEST(BenchRunParse, LegacyBareArray) {
-  auto run = ParseBenchRun(
-      R"([{"config":"opt_serial","seconds":0.1,"micro_overlap":0.8}])");
-  ASSERT_TRUE(run.ok());
-  EXPECT_EQ(run->schema_version, 0);
-  EXPECT_EQ(run->experiment, "ablation_overlap");  // inferred from "config"
-  EXPECT_EQ(run->host.Fingerprint(), "");          // legacy: no host info
-  ASSERT_EQ(run->rows.size(), 1u);
-}
-
-TEST(BenchRunParse, LegacyArrayWithExplicitExperiment) {
-  auto run = ParseBenchRun(
-      R"([{"experiment":"shard_throughput","shards":2,"qps":10.0}])");
-  ASSERT_TRUE(run.ok());
-  EXPECT_EQ(run->experiment, "shard_throughput");
 }
 
 TEST(BenchRunParse, GoogleBenchmarkFormat) {
@@ -254,7 +237,8 @@ TEST(BenchGate, MissingRowFailsUnlessAllowed) {
 TEST(BenchGate, ExperimentMismatchIsAnError) {
   auto base = ParseBenchRun(kUnified);
   auto other = ParseBenchRun(
-      R"([{"experiment":"shard_throughput","shards":2,"qps":10.0}])");
+      R"({"schema_version":1,"experiment":"shard_throughput",)"
+      R"("rows":[{"shards":2,"qps":10.0}]})");
   ASSERT_TRUE(base.ok());
   ASSERT_TRUE(other.ok());
   EXPECT_FALSE(CompareBenchRuns(*base, {*other}, GateOptions{}).ok());

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -42,6 +43,16 @@ std::string MaterializeStore(const CSRGraph& g, Env* env,
   Status s = GraphStore::Create(g, env, base, options);
   EXPECT_TRUE(s.ok()) << s.ToString();
   return base;
+}
+
+/// Type-erases one Decode* function for the fixed-layout table test.
+template <typename T>
+std::function<Status(std::string_view)> Decoder(
+    Status (*decode)(std::string_view, T*)) {
+  return [decode](std::string_view payload) {
+    T out;
+    return decode(payload, &out);
+  };
 }
 
 // ---------------------------------------------------------------------
@@ -119,15 +130,6 @@ TEST(Wire, ErrorWithFlightEventsRoundTrip) {
   EXPECT_EQ(decoded.events[2].type, FlightEventType::kDegrade);
 }
 
-TEST(Wire, ErrorWithoutEventsDecodesToEmptyTail) {
-  // An old server's frame ends after `message`; the decoder must not
-  // demand the event section.
-  ErrorResult decoded;
-  ASSERT_TRUE(
-      DecodeError(EncodeError(Status::NotFound("gone")), &decoded).ok());
-  EXPECT_TRUE(decoded.events.empty());
-}
-
 TEST(Wire, ProfileResultRoundTrip) {
   ProfileResult result;
   result.triangles = 4242;
@@ -182,27 +184,16 @@ TEST(Wire, TruncatedPayloadsAreCorruption) {
   request.trace_id = 0x1111222233334444ull;
   request.parent_span_id = 0x5555666677778888ull;
   const std::string payload = EncodeQueryRequest(request);
-  // The last 16 bytes are the trace tail; a cut exactly at its start is
-  // a valid frame from a pre-tracing client (ids decode as zero). Every
-  // other cut is corruption.
-  const size_t tail_start = payload.size() - 16;
+  // Every cut is corruption, including one exactly before the trace ids.
   for (size_t cut = 0; cut < payload.size(); ++cut) {
     QueryRequest decoded;
     const Status s =
         DecodeQueryRequest(payload.substr(0, cut), &decoded);
-    if (cut == tail_start) {
-      EXPECT_TRUE(s.ok()) << s.ToString();
-      EXPECT_EQ(decoded.graph, "g");
-      EXPECT_EQ(decoded.trace_id, 0u);
-      EXPECT_EQ(decoded.parent_span_id, 0u);
-    } else {
-      EXPECT_EQ(s.code(), StatusCode::kCorruption) << "cut=" << cut;
-    }
+    EXPECT_EQ(s.code(), StatusCode::kCorruption) << "cut=" << cut;
   }
 }
 
-TEST(Wire, RequestTraceTailsRoundTripAndOldFramesDecodeAsUntraced) {
-  // New encoder → new decoder: the ids survive.
+TEST(Wire, RequestTraceIdsRoundTrip) {
   QueryRequest query{"g", 8, 2, 1000};
   query.trace_id = 0xabcdef0123456789ull;
   query.parent_span_id = 0x42ull;
@@ -239,48 +230,9 @@ TEST(Wire, RequestTraceTailsRoundTripAndOldFramesDecodeAsUntraced) {
   EXPECT_EQ(subscribe_decoded.after_epoch, 3u);
   EXPECT_EQ(subscribe_decoded.trace_id, 11u);
   EXPECT_EQ(subscribe_decoded.parent_span_id, 13u);
-
-  // Old frame → new decoder: chop the 16-byte tail off each encoding;
-  // decode succeeds with zeroed ids and intact fixed fields.
-  auto chop = [](std::string payload) {
-    payload.resize(payload.size() - 16);
-    return payload;
-  };
-  QueryRequest old_query;
-  ASSERT_TRUE(
-      DecodeQueryRequest(chop(EncodeQueryRequest(query)), &old_query).ok());
-  EXPECT_EQ(old_query.memory_pages, 8u);
-  EXPECT_EQ(old_query.trace_id, 0u);
-  EXPECT_EQ(old_query.parent_span_id, 0u);
-  MutateRequest old_mutate;
-  ASSERT_TRUE(
-      DecodeMutateRequest(chop(EncodeMutateRequest(mutate)), &old_mutate)
-          .ok());
-  EXPECT_EQ(old_mutate.edges, mutate.edges);
-  EXPECT_EQ(old_mutate.trace_id, 0u);
-  SubscribeCountRequest old_subscribe;
-  ASSERT_TRUE(DecodeSubscribeCountRequest(
-                  chop(EncodeSubscribeCountRequest(subscribe)),
-                  &old_subscribe)
-                  .ok());
-  EXPECT_EQ(old_subscribe.timeout_millis, 50u);
-  EXPECT_EQ(old_subscribe.trace_id, 0u);
-
-  // New frame → old decoder: a pre-tracing peer reads the fixed fields
-  // and must see no leftover bytes it would misparse as its own tail —
-  // the tail is strictly appended, so the fixed prefix is byte-identical.
-  QueryRequest untraced = query;
-  untraced.trace_id = 0;
-  untraced.parent_span_id = 0;
-  const std::string new_frame = EncodeQueryRequest(query);
-  const std::string old_frame = EncodeQueryRequest(untraced);
-  ASSERT_EQ(new_frame.size(), old_frame.size());
-  EXPECT_EQ(new_frame.substr(0, new_frame.size() - 16),
-            old_frame.substr(0, old_frame.size() - 16));
 }
 
-TEST(Wire, ErrorTraceIdTailRoundTripsAndToleratesOldFrames) {
-  // New encoder carries events + trace id; both decode.
+TEST(Wire, ErrorTraceIdRoundTrips) {
   std::vector<FlightEvent> events;
   events.push_back({1000, FlightEventType::kIoRetry, 2, 1});
   ErrorResult decoded;
@@ -291,15 +243,6 @@ TEST(Wire, ErrorTraceIdTailRoundTripsAndToleratesOldFrames) {
   EXPECT_EQ(decoded.code, static_cast<uint32_t>(StatusCode::kUnavailable));
   ASSERT_EQ(decoded.events.size(), 1u);
   EXPECT_EQ(decoded.trace_id, 0xfeedface0000ull);
-
-  // Frame ending after events (pre-tracing server): trace_id zero.
-  std::string no_trace_tail =
-      EncodeError(Status::Unavailable("degraded"), events, 0x1234ull);
-  no_trace_tail.resize(no_trace_tail.size() - 8);
-  ErrorResult no_trace_decoded;
-  ASSERT_TRUE(DecodeError(no_trace_tail, &no_trace_decoded).ok());
-  ASSERT_EQ(no_trace_decoded.events.size(), 1u);
-  EXPECT_EQ(no_trace_decoded.trace_id, 0u);
 }
 
 TEST(Wire, TracePullRoundTrip) {
@@ -310,11 +253,6 @@ TEST(Wire, TracePullRoundTrip) {
                                      &request_decoded)
                   .ok());
   EXPECT_EQ(request_decoded.drain, 0u);
-  // Old-style empty payload (or a future peer sending nothing) decodes
-  // as the drain default.
-  TracePullRequest empty_decoded;
-  ASSERT_TRUE(DecodeTracePullRequest("", &empty_decoded).ok());
-  EXPECT_EQ(empty_decoded.drain, 1u);
 
   TracePullResult result;
   ProcessTrace section;
@@ -461,30 +399,6 @@ TEST(Wire, StatsResultRoundTrip) {
   EXPECT_EQ(decoded.counters[1].value, 41u);
 }
 
-TEST(Wire, StatsResultForwardCompatibleBothDirections) {
-  // Old client reading a new server's frame: the legacy decode path is
-  // GetString on the payload, ignoring whatever follows.
-  StatsResult stats;
-  stats.text = "scheduler.submitted=1\n";
-  stats.histograms.push_back({"query.latency_us", 1, 5, 5, 5, 5, 5, 5});
-  stats.counters.push_back({"io.requests", 9});
-  const std::string new_payload = EncodeStatsResult(stats);
-  PayloadReader old_client(new_payload);
-  std::string text;
-  ASSERT_TRUE(old_client.GetString(&text).ok());
-  EXPECT_EQ(text, stats.text);
-
-  // New client reading an old server's frame (just the string): empty
-  // structured sections, not a decode error.
-  std::string old_payload;
-  PutString(&old_payload, "cache.hits=2\n");
-  StatsResult decoded;
-  ASSERT_TRUE(DecodeStatsResult(old_payload, &decoded).ok());
-  EXPECT_EQ(decoded.text, "cache.hits=2\n");
-  EXPECT_TRUE(decoded.histograms.empty());
-  EXPECT_TRUE(decoded.counters.empty());
-}
-
 TEST(Wire, StatsResultTruncatedStructuredSectionIsCorruption) {
   StatsResult stats;
   stats.histograms.push_back({"h", 1, 1, 1, 1, 1, 1, 1});
@@ -493,6 +407,145 @@ TEST(Wire, StatsResultTruncatedStructuredSectionIsCorruption) {
   const Status s =
       DecodeStatsResult(payload.substr(0, payload.size() - 4), &decoded);
   EXPECT_EQ(s.code(), StatusCode::kCorruption);
+}
+
+TEST(Wire, EveryDecoderRejectsCutsAndTrailingBytes) {
+  // Every payload has one fixed layout that its decoder must consume
+  // exactly, so each strict prefix of a valid encoding and the encoding
+  // plus one trailing byte are Corruption. A cut that decoded as a
+  // shorter, complete answer (a COUNT reply without its router mask)
+  // would turn a partial sharded count into a silently wrong one.
+  struct LayoutCase {
+    const char* name;
+    std::string payload;
+    std::function<Status(std::string_view)> decode;
+    /// Cuts in [lo, hi) leave MutateRequest's edge count claiming more
+    /// edges than the payload carries: that decoder's typed
+    /// InvalidArgument (see MutateRequestRejectsCountBeyondPayload).
+    size_t invalid_argument_lo = 0;
+    size_t invalid_argument_hi = 0;
+  };
+  std::vector<LayoutCase> cases;
+
+  QueryRequest query{"g", 8, 2, 1000, 0x77, 0x78};
+  cases.push_back({"QueryRequest", EncodeQueryRequest(query),
+                   Decoder(&DecodeQueryRequest)});
+
+  CountResult count;
+  count.triangles = 99;
+  count.iterations = 2;
+  count.partial_shards = 0b101;
+  count.num_shards = 3;
+  cases.push_back({"CountResult", EncodeCountResult(count),
+                   Decoder(&DecodeCountResult)});
+
+  cases.push_back({"LoadGraphRequest",
+                   EncodeLoadGraphRequest({"g", "stores/g"}),
+                   Decoder(&DecodeLoadGraphRequest)});
+
+  MutateRequest mutate;
+  mutate.graph = "g";
+  mutate.edges = {{1, 2}, {3, 4}};
+  mutate.trace_id = 7;
+  mutate.parent_span_id = 9;
+  const size_t edges_begin = 4 + mutate.graph.size() + 4;
+  cases.push_back({"MutateRequest", EncodeMutateRequest(mutate),
+                   Decoder(&DecodeMutateRequest), edges_begin,
+                   edges_begin + 8 * mutate.edges.size()});
+
+  MutateResult mutate_result;
+  mutate_result.epoch = 7;
+  mutate_result.partial_shards = 0b10;
+  mutate_result.num_shards = 2;
+  cases.push_back({"MutateResult", EncodeMutateResult(mutate_result),
+                   Decoder(&DecodeMutateResult)});
+
+  SubscribeCountRequest subscribe;
+  subscribe.graph = "g";
+  subscribe.after_epoch = 3;
+  subscribe.timeout_millis = 50;
+  subscribe.trace_id = 11;
+  cases.push_back({"SubscribeCountRequest",
+                   EncodeSubscribeCountRequest(subscribe),
+                   Decoder(&DecodeSubscribeCountRequest)});
+
+  SubscribeCountResult subscribe_result;
+  subscribe_result.epoch = 3;
+  subscribe_result.partial_shards = 1;
+  subscribe_result.num_shards = 4;
+  cases.push_back({"SubscribeCountResult",
+                   EncodeSubscribeCountResult(subscribe_result),
+                   Decoder(&DecodeSubscribeCountResult)});
+
+  cases.push_back(
+      {"Error",
+       EncodeError(Status::Unavailable("degraded"),
+                   {{100, FlightEventType::kDegrade, 7, 1}}, 0x1234),
+       Decoder(&DecodeError)});
+
+  ProfileResult profile;
+  profile.triangles = 5;
+  profile.role_samples = {10, 20};
+  cases.push_back({"ProfileResult", EncodeProfileResult(profile),
+                   Decoder(&DecodeProfileResult)});
+
+  ListBatch batch;
+  batch.records.push_back({1, 2, {3, 4}});
+  batch.records.push_back({5, 6, {}});
+  cases.push_back({"ListBatch", EncodeListBatch(batch),
+                   Decoder(&DecodeListBatch)});
+
+  ListEnd end;
+  end.triangles = 12;
+  end.partial_shards = 0b1000;
+  end.num_shards = 4;
+  cases.push_back(
+      {"ListEnd", EncodeListEnd(end), Decoder(&DecodeListEnd)});
+
+  StatsResult stats;
+  stats.text = "scheduler.submitted=1\n";
+  stats.histograms.push_back({"query.latency_us", 1, 5, 5, 5, 5, 5, 5});
+  stats.counters.push_back({"io.requests", 9});
+  cases.push_back({"StatsResult", EncodeStatsResult(stats),
+                   Decoder(&DecodeStatsResult)});
+
+  ShardStatsResult shard_stats;
+  shard_stats.graph = "g";
+  ShardStatsEntry shard;
+  shard.address = "127.0.0.1:7000";
+  shard.range_hi = 100;
+  shard_stats.shards.push_back(shard);
+  cases.push_back({"ShardStatsResult", EncodeShardStatsResult(shard_stats),
+                   Decoder(&DecodeShardStatsResult)});
+
+  cases.push_back({"TracePullRequest", EncodeTracePullRequest({0}),
+                   Decoder(&DecodeTracePullRequest)});
+
+  TracePullResult trace;
+  ProcessTrace section;
+  section.label = "shard0";
+  TraceEvent event;
+  event.name = "query.count";
+  event.phase = 'X';
+  section.events.push_back(event);
+  trace.processes.push_back(section);
+  cases.push_back({"TracePullResult", EncodeTracePullResult(trace),
+                   Decoder(&DecodeTracePullResult)});
+
+  for (const LayoutCase& c : cases) {
+    const Status whole = c.decode(c.payload);
+    EXPECT_TRUE(whole.ok()) << c.name << ": " << whole.ToString();
+    for (size_t cut = 0; cut < c.payload.size(); ++cut) {
+      const StatusCode expected =
+          cut >= c.invalid_argument_lo && cut < c.invalid_argument_hi
+              ? StatusCode::kInvalidArgument
+              : StatusCode::kCorruption;
+      EXPECT_EQ(c.decode(c.payload.substr(0, cut)).code(), expected)
+          << c.name << " cut=" << cut << " of " << c.payload.size();
+    }
+    EXPECT_EQ(c.decode(c.payload + '\0').code(), StatusCode::kCorruption)
+        << c.name << " + trailing byte";
+  }
 }
 
 // ---------------------------------------------------------------------

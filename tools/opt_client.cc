@@ -39,11 +39,10 @@ using namespace opt;
 
 namespace {
 
-/// Pretty-prints the structured STATS reply: the legacy text section,
-/// then latency histogram quantiles and the metrics-registry counters as
+/// Pretty-prints the structured STATS reply: the text section, then
+/// latency histogram quantiles and the metrics-registry counters as
 /// aligned tables, then a summary block with the derived pool hit rate
-/// and the two health counters operators grep for first. Old servers
-/// only send the text.
+/// and the two health counters operators grep for first.
 void PrintStats(const StatsResult& stats) {
   std::fputs(stats.text.c_str(), stdout);
   if (!stats.histograms.empty()) {
@@ -278,7 +277,7 @@ void PrintShardStats(const ShardStatsResult& stats) {
   table.Print();
 }
 
-/// Degraded queries ship their flight-recorder tail with the error;
+/// Degraded queries ship their flight-recorder events with the error;
 /// print it so the failure explains itself at the terminal.
 void PrintErrorWithEvents(const Status& status, const OptClient& client) {
   std::fprintf(stderr, "%s\n", status.ToString().c_str());
