@@ -18,11 +18,6 @@ namespace opt {
 
 namespace {
 
-/// Bound on waiting for a page another query is loading into the shared
-/// pool: a reader that dies without publishing MarkValid/MarkFailed
-/// costs this much wall time and a typed Unavailable, not a hung query.
-constexpr uint64_t kIoWaitTimeoutMillis = 10000;
-
 /// Registry counters fed once per Run() from OptRunStats. The cache-hit
 /// counters are the paper's Δin / Δex: pages the buffer pool saved the
 /// run from re-reading (§3.3's cost identity, exposed live via STATS).
@@ -336,7 +331,7 @@ void ProcessChunk(RunContext* ctx, Chunk chunk,
   Status frames_ready;
   for (size_t i = 0; i < frames.size(); ++i) {
     frames_ready =
-        ctx->pool->WaitValid(frames[i], kIoWaitTimeoutMillis);
+        ctx->pool->WaitValid(frames[i], kPoolWaitTimeoutMillis);
     if (!frames_ready.ok()) {
       if (ctx->flight != nullptr && frames_ready.IsUnavailable()) {
         ctx->flight->Record(FlightEventType::kWaitTimeout,
@@ -453,7 +448,6 @@ void SubmitChunk(RunContext* ctx, Chunk chunk) {
     // MarkFailed) before this callback is queued.
     request.pool = ctx->pool;
     request.validate = ctx->options.validate_pages;
-    request.page_size = ctx->store->page_size();
     request.flight = ctx->flight;
     request.callback = [state](const Status& status) {
       RunContext* ctx = state->ctx;
@@ -533,24 +527,6 @@ void FlexRole(RunContext* ctx) {
     DrainExternal(ctx, /*allow_morph=*/true, &scratch);
   }
 }
-
-/// Scoped shared-pool capacity claim: guarantees this run can keep its
-/// m_in + ext_capacity (+ slack) frames pinned without starving the
-/// other queries on the pool. Released capacity stays behind as cache.
-struct FrameReservation {
-  BufferPool* pool;
-  uint32_t n;
-  FrameReservation(BufferPool* pool, uint32_t n) : pool(pool), n(n) {
-    pool->ReserveFrames(n);
-  }
-  ~FrameReservation() { pool->ReleaseFrames(n); }
-  void GrowTo(uint32_t total) {
-    if (total > n) {
-      pool->ReserveFrames(total - n);
-      n = total;
-    }
-  }
-};
 
 }  // namespace
 
@@ -687,7 +663,6 @@ Status OptRunner::Run(TriangleSink* sink, OptRunStats* stats) {
         // Validation and MarkValid/MarkFailed happen on the I/O worker.
         request.pool = pool;
         request.validate = options_.validate_pages;
-        request.page_size = store_->page_size();
         request.flight = ctx.flight;
         RunContext* pctx = &ctx;
         request.callback = [pctx, f](const Status& status) {
@@ -706,7 +681,7 @@ Status OptRunner::Run(TriangleSink* sink, OptRunStats* stats) {
       iter.internal_cache_hits++;
       if (fetch->outcome == BufferPool::FetchOutcome::kInFlight) {
         OverlapProfiler::SetRole(ThreadRole::kIoWait);
-        const Status w = pool->WaitValid(f, kIoWaitTimeoutMillis);
+        const Status w = pool->WaitValid(f, kPoolWaitTimeoutMillis);
         if (!w.ok()) {
           if (ctx.flight != nullptr && w.IsUnavailable()) {
             ctx.flight->Record(FlightEventType::kWaitTimeout, pid);

@@ -2,7 +2,8 @@
 
 #include <utility>
 
-#include "storage/record_scanner.h"
+#include "core/page_range_view.h"
+#include "storage/async_io.h"
 
 namespace opt {
 
@@ -79,6 +80,7 @@ Result<GraphRegistry::DeltaOutcome> GraphRegistry::ApplyEdgeDelta(
   std::shared_ptr<GraphStore> store;
   std::shared_ptr<std::mutex> mutate;
   std::shared_ptr<TriestEstimator> estimator;
+  uint32_t owner = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = graphs_.find(name);
@@ -88,6 +90,7 @@ Result<GraphRegistry::DeltaOutcome> GraphRegistry::ApplyEdgeDelta(
     store = it->second.store;
     mutate = it->second.mutate_mutex;
     estimator = it->second.estimator;
+    owner = it->second.owner;
   }
 
   // Serialize batches per graph. The registry mutex is NOT held while
@@ -112,29 +115,59 @@ Result<GraphRegistry::DeltaOutcome> GraphRegistry::ApplyEdgeDelta(
     overlay = it->second.overlay;
   }
 
-  // Base reads go through Env, so injected device faults apply here like
-  // anywhere else. Transient faults heal on reread within the bounded
-  // budget (matching the query path's retry contract); terminal I/O
+  // Base reads take the query path's page protocol: Fetch under the
+  // graph's owner tag, so pages concurrent queries cached are hits; a
+  // miss is read through ReadPageWithRetry (the one retry loop) and
+  // published to waiters. The reservation keeps one record's page run
+  // fetchable even while queries pin the rest of the pool. Terminal I/O
   // failure degrades the mutation to Unavailable (the delta is NOT
   // applied — nothing is ever silently dropped).
-  constexpr uint32_t kDeltaReadAttempts = 4;
+  BufferPool* const pool = pool_.get();
+  FrameReservation reservation(pool, store->MaxRecordPages());
   AdjacencyFetcher fetch = [&](VertexId v, std::vector<VertexId>* out) {
-    Status last = Status::OK();
-    for (uint32_t attempt = 0; attempt < kDeltaReadAttempts; ++attempt) {
-      last = ReadAdjacency(*store, v, out);
-      // Only device-level failures are worth a reread (transient faults
-      // and torn pages heal); anything else is terminal as-is.
-      if (last.ok() || (!last.IsIOError() && !last.IsCorruption())) {
-        return last;
+    const uint32_t first_pid = store->FirstPageOfVertex(v);
+    std::vector<Frame*> frames;
+    std::vector<const char*> pages;
+    Status status;
+    for (uint32_t pid = first_pid;
+         status.ok() && pid <= store->LastPageOfVertex(v); ++pid) {
+      auto fetched = pool->Fetch(MakePageKey(owner, pid));
+      if (!fetched.ok()) {
+        status = fetched.status();
+        break;
+      }
+      Frame* const frame = fetched->frame;
+      frames.push_back(frame);
+      pages.push_back(frame->data);
+      if (fetched->outcome == BufferPool::FetchOutcome::kMiss) {
+        status = ReadPageWithRetry(*store->file(), pid, frame->data,
+                                   /*validate=*/true, IoRetryPolicy());
+        if (status.ok()) {
+          pool->MarkValid(frame);
+        } else {
+          pool->MarkFailed(frame);
+        }
+      } else if (fetched->outcome == BufferPool::FetchOutcome::kInFlight) {
+        status = pool->WaitValid(frame, kPoolWaitTimeoutMillis);
       }
     }
-    if (last.IsIOError()) {
-      return Status::Unavailable(
-          "base adjacency of vertex " + std::to_string(v) +
-          " unreadable after " + std::to_string(kDeltaReadAttempts) +
-          " attempts: " + last.message());
+    PageRangeView view;
+    if (status.ok()) status = view.Build(*store, first_pid, pages);
+    if (status.ok() && !view.HasFull(v)) {
+      status = Status::Corruption("vertex " + std::to_string(v) +
+                                  " missing from its page run");
     }
-    return last;
+    if (status.ok()) {
+      const auto neighbors = view.Get(v).all;
+      out->assign(neighbors.begin(), neighbors.end());
+    }
+    for (Frame* frame : frames) pool->Unpin(frame);
+    if (status.IsIOError()) {
+      return Status::Unavailable("base adjacency of vertex " +
+                                 std::to_string(v) + " unreadable: " +
+                                 status.message());
+    }
+    return status;
   };
 
   DeltaApplyStats stats;
@@ -145,7 +178,6 @@ Result<GraphRegistry::DeltaOutcome> GraphRegistry::ApplyEdgeDelta(
 
   DeltaOutcome outcome;
   outcome.edges_applied = stats.edges_applied;
-  outcome.base_fetches = stats.base_fetches;
   outcome.triangles_added = stats.triangles_added;
   outcome.triangles_removed = stats.triangles_removed;
   outcome.batch_triangle_delta =

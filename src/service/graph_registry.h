@@ -1,7 +1,7 @@
 // Multi-graph registry for the query service: opens and pins GraphStores
-// by name and owns the one BufferPool every query shares, so hot
-// adjacency pages survive across queries (the paper's Δ I/O saving
-// amortized over a workload instead of over one run's iterations).
+// by name and owns the one BufferPool that every query and every delta
+// batch reads through, so hot adjacency pages survive across queries
+// (the paper's Δ I/O saving amortized over a workload, not one run).
 // Each (re)load gets a fresh owner tag — the page-key namespace in the
 // shared pool — and a monotonically increasing epoch that result-cache
 // keys embed, so stale pages and stale cached answers can never be
@@ -84,7 +84,6 @@ class GraphRegistry {
     uint64_t triangles_added = 0;
     uint64_t triangles_removed = 0;
     uint64_t edges_applied = 0;
-    uint64_t base_fetches = 0;
     bool approx_valid = false;
     double approx_triangles = 0;    // triangles among streamed inserts
   };

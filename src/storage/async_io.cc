@@ -104,22 +104,19 @@ void AsyncIoEngine::Submit(ReadRequest request) {
   }
 }
 
-Status AsyncIoEngine::ReadPageWithRetry(const ReadRequest& request,
-                                        uint32_t index) {
-  const uint32_t pid = request.first_pid + index;
+Status ReadPageWithRetry(const PageFile& file, uint32_t pid, char* dst,
+                         bool validate, const IoRetryPolicy& policy,
+                         AsyncIoStats* stats, FlightRecorder* flight) {
   const auto start = std::chrono::steady_clock::now();
-  uint32_t backoff = retry_.backoff_base_micros;
+  uint32_t backoff = policy.backoff_base_micros;
   Status status;
   for (uint32_t attempt = 1;; ++attempt) {
-    status = request.file->ReadPage(pid, request.frames[index]->data);
+    status = file.ReadPage(pid, dst);
     // Validation is part of the attempt: a torn read reports OK at the
     // device layer and only the page CRC catches it, so the reread has
     // to happen here where the data is still in hand.
-    if (status.ok() && request.pool != nullptr && request.validate) {
-      const uint32_t page_size = request.page_size != 0
-                                     ? request.page_size
-                                     : request.file->page_size();
-      status = PageView(request.frames[index]->data, page_size).Validate(pid);
+    if (status.ok() && validate) {
+      status = PageView(dst, file.page_size()).Validate(pid);
     }
     if (status.ok()) {
       const uint64_t micros =
@@ -127,7 +124,7 @@ Status AsyncIoEngine::ReadPageWithRetry(const ReadRequest& request,
               std::chrono::duration_cast<std::chrono::microseconds>(
                   std::chrono::steady_clock::now() - start)
                   .count());
-      stats_.read_micros.fetch_add(micros, std::memory_order_relaxed);
+      if (stats != nullptr) stats->read_micros += micros;
       GlobalIoCounters().page_read_us->Record(micros);
       return status;
     }
@@ -135,41 +132,41 @@ Status AsyncIoEngine::ReadPageWithRetry(const ReadRequest& request,
       // Non-retryable errors (OutOfRange, InvalidArgument, ...) are
       // caller bugs, but they are still failed page reads: count them
       // in read_errors. No giveups — no retry budget was spent.
-      stats_.read_errors.fetch_add(1, std::memory_order_relaxed);
+      if (stats != nullptr) ++stats->read_errors;
       GlobalIoCounters().read_errors->Increment();
-      if (request.flight != nullptr) {
-        request.flight->Record(FlightEventType::kIoError, pid,
-                               static_cast<uint64_t>(status.code()));
+      if (flight != nullptr) {
+        flight->Record(FlightEventType::kIoError, pid,
+                       static_cast<uint64_t>(status.code()));
       }
       return status;
     }
-    if (attempt >= retry_.max_attempts) break;
+    if (attempt >= policy.max_attempts) break;
     const uint32_t sleep_us =
         JitteredBackoff(backoff, pid, attempt);
-    if (retry_.op_deadline_micros != 0) {
+    if (policy.op_deadline_micros != 0) {
       const auto elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
                                std::chrono::steady_clock::now() - start)
                                .count();
       if (static_cast<uint64_t>(elapsed) + sleep_us >=
-          retry_.op_deadline_micros) {
+          policy.op_deadline_micros) {
         break;  // the next attempt would blow the per-op deadline
       }
     }
-    stats_.retries.fetch_add(1, std::memory_order_relaxed);
+    if (stats != nullptr) ++stats->retries;
     GlobalIoCounters().retries->Increment();
-    if (request.flight != nullptr) {
-      request.flight->Record(FlightEventType::kIoRetry, pid, attempt);
+    if (flight != nullptr) {
+      flight->Record(FlightEventType::kIoRetry, pid, attempt);
     }
     std::this_thread::sleep_for(std::chrono::microseconds(sleep_us));
-    backoff = std::min(backoff * 2, retry_.backoff_max_micros);
+    backoff = std::min(backoff * 2, policy.backoff_max_micros);
   }
-  stats_.read_errors.fetch_add(1, std::memory_order_relaxed);
-  stats_.giveups.fetch_add(1, std::memory_order_relaxed);
+  if (stats != nullptr) ++stats->read_errors;
+  if (stats != nullptr) ++stats->giveups;
   GlobalIoCounters().read_errors->Increment();
   GlobalIoCounters().giveups->Increment();
-  if (request.flight != nullptr) {
-    request.flight->Record(FlightEventType::kIoGiveup, pid,
-                           static_cast<uint64_t>(status.code()));
+  if (flight != nullptr) {
+    flight->Record(FlightEventType::kIoGiveup, pid,
+                   static_cast<uint64_t>(status.code()));
   }
   return status;
 }
@@ -188,7 +185,10 @@ void AsyncIoEngine::WorkerLoop() {
     Status status;
     uint32_t done = 0;
     for (uint32_t i = 0; i < request.page_count && status.ok(); ++i) {
-      status = ReadPageWithRetry(request, i);
+      status = ReadPageWithRetry(
+          *request.file, request.first_pid + i, request.frames[i]->data,
+          request.pool != nullptr && request.validate, retry_, &stats_,
+          request.flight);
       if (status.ok()) {
         stats_.pages_read.fetch_add(1, std::memory_order_relaxed);
         GlobalIoCounters().pages_read->Increment();

@@ -105,7 +105,6 @@ struct ReadRequest {
   /// while the worker still writes into it.
   BufferPool* pool = nullptr;
   bool validate = false;
-  uint32_t page_size = 0;  // for validation; defaults to file page size
   /// When set, retry/giveup/error outcomes of this request's pages are
   /// recorded as flight events for the owning query's postmortem tail.
   /// Must outlive the request's completion.
@@ -135,6 +134,15 @@ struct AsyncIoStats {
   }
 };
 
+/// Reads page `pid` of `file` into `dst` under `policy`, validating the
+/// page CRC inside each attempt when `validate` is set. The one page-read
+/// retry loop: the engine's workers and the registry's mutation reads
+/// both call it. `stats` and `flight` may be null.
+Status ReadPageWithRetry(const PageFile& file, uint32_t pid, char* dst,
+                         bool validate, const IoRetryPolicy& policy,
+                         AsyncIoStats* stats = nullptr,
+                         FlightRecorder* flight = nullptr);
+
 class AsyncIoEngine {
  public:
   /// `num_workers` concurrent I/O threads (the emulated SSD queue depth).
@@ -152,12 +160,8 @@ class AsyncIoEngine {
   AsyncIoStats& stats() { return stats_; }
   uint32_t num_workers() const { return static_cast<uint32_t>(workers_.size()); }
 
-  const IoRetryPolicy& retry_policy() const { return retry_; }
-
  private:
   void WorkerLoop();
-  /// One page's read + (optional) CRC validation under the retry policy.
-  Status ReadPageWithRetry(const ReadRequest& request, uint32_t index);
 
   const IoRetryPolicy retry_;
   BlockingQueue<ReadRequest> submissions_;

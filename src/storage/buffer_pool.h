@@ -194,6 +194,31 @@ class BufferPool {
   BufferPoolStats stats_;
 };
 
+/// Bound on WaitValid for a page another reader is loading into a shared
+/// pool: a reader that dies without publishing MarkValid/MarkFailed
+/// costs this much wall time and a typed Unavailable, not a hung caller.
+constexpr uint64_t kPoolWaitTimeoutMillis = 10000;
+
+/// Scoped shared-pool capacity claim: guarantees the holder can keep `n`
+/// frames pinned without starving the pool's other users. Released
+/// capacity stays behind as cache.
+struct FrameReservation {
+  BufferPool* pool;
+  uint32_t n;
+  FrameReservation(BufferPool* pool, uint32_t n) : pool(pool), n(n) {
+    pool->ReserveFrames(n);
+  }
+  ~FrameReservation() { pool->ReleaseFrames(n); }
+  FrameReservation(const FrameReservation&) = delete;
+  FrameReservation& operator=(const FrameReservation&) = delete;
+  void GrowTo(uint32_t total) {
+    if (total > n) {
+      pool->ReserveFrames(total - n);
+      n = total;
+    }
+  }
+};
+
 }  // namespace opt
 
 #endif  // OPT_STORAGE_BUFFER_POOL_H_

@@ -58,27 +58,4 @@ Status ScanRecords(
   return Status::OK();
 }
 
-Status ReadAdjacency(const GraphStore& store, VertexId v,
-                     std::vector<VertexId>* out, uint64_t* pages_read) {
-  if (v >= store.num_vertices()) {
-    return Status::OutOfRange("vertex " + std::to_string(v) +
-                              " beyond end of store");
-  }
-  out->clear();
-  bool found = false;
-  OPT_RETURN_IF_ERROR(ScanRecords(
-      store, store.FirstPageOfVertex(v), store.LastPageOfVertex(v),
-      [&](VertexId vertex, std::span<const VertexId> neighbors) {
-        if (vertex != v) return;
-        out->assign(neighbors.begin(), neighbors.end());
-        found = true;
-      },
-      pages_read));
-  if (!found) {
-    return Status::Corruption("record for vertex " + std::to_string(v) +
-                              " missing from its page run");
-  }
-  return Status::OK();
-}
-
 }  // namespace opt

@@ -22,14 +22,6 @@ Status ScanRecords(
     const std::function<void(VertexId, std::span<const VertexId>)>& fn,
     uint64_t* pages_read = nullptr, bool validate_pages = true);
 
-/// Point lookup: reads n(v) into `*out` (sorted, possibly empty) by
-/// scanning the page run [FirstPageOfVertex(v), LastPageOfVertex(v)].
-/// Costs O(pages of v) synchronous reads — the streaming delta path
-/// uses this to intersect endpoint neighborhoods per applied edge.
-Status ReadAdjacency(const GraphStore& store, VertexId v,
-                     std::vector<VertexId>* out,
-                     uint64_t* pages_read = nullptr);
-
 }  // namespace opt
 
 #endif  // OPT_STORAGE_RECORD_SCANNER_H_

@@ -27,6 +27,8 @@
 #include "graph/streaming_approx.h"
 #include "service/graph_registry.h"
 #include "service/query_scheduler.h"
+#include "storage/buffer_pool.h"
+#include "storage/env.h"
 #include "storage/fault_env.h"
 #include "test_helpers.h"
 #include "util/metrics.h"
@@ -316,7 +318,7 @@ TEST(TriestEstimator, RemovalTaintsTheEstimate) {
 struct ServiceFixture {
   explicit ServiceFixture(Env* env, const CSRGraph& g,
                           const std::string& tag,
-                          uint64_t approx_reservoir = 0) {
+                          const RegistryOptions& registry_options = {}) {
     static int counter = 0;
     base_path = testutil::ProcessTempDir() + "/stream_" + tag + "_" +
                 std::to_string(counter++);
@@ -324,8 +326,6 @@ struct ServiceFixture {
     store_options.page_size = 256;
     const Status created = GraphStore::Create(g, env, base_path, store_options);
     EXPECT_TRUE(created.ok()) << created.ToString();
-    RegistryOptions registry_options;
-    registry_options.approx_reservoir_edges = approx_reservoir;
     registry = std::make_unique<GraphRegistry>(env, registry_options);
     SchedulerOptions scheduler_options;
     scheduler_options.workers = 2;
@@ -520,17 +520,19 @@ TEST(StreamingService, ConcurrentBatchesOnOneGraphAllSurvive) {
   SCOPED_TRACE(ReproLine(seed));
   // Pure read latency (no faults): each apply's base-adjacency fetches
   // hold the per-graph mutation lock for hundreds of microseconds, so
-  // the two writers contend on essentially every batch.
+  // the two writers contend on essentially every batch. A one-frame
+  // pool and an oracle base count keep those reads real: a warm pool
+  // would serve them without latency and the writers would barely
+  // contend.
   auto plan = FaultPlan::Parse("seed=" + std::to_string(seed) +
                                ",latency_p=1.0,latency_us=200,"
                                "path_filter=.pages");
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   FaultInjectingEnv fenv(Env::Default(), *plan);
-  fenv.set_enabled(false);  // clean store build + base count
+  fenv.set_enabled(false);  // clean store build
   const CSRGraph g = GenerateErdosRenyi(80, 400, seed);
-  ServiceFixture service(&fenv, g, "concurrent");
-  const uint64_t base_count = service.Count();
-  ASSERT_EQ(base_count, OracleCount(g));
+  ServiceFixture service(&fenv, g, "concurrent", {.min_pool_frames = 1});
+  const uint64_t base_count = OracleCount(g);
 
   // Two writers race disjoint absent edges at the same graph. Every
   // batch must build on its predecessor's published overlay — an apply
@@ -579,6 +581,68 @@ TEST(StreamingService, ConcurrentBatchesOnOneGraphAllSurvive) {
   EXPECT_EQ(service.Count(), MirrorTriangles(mirror));
   EXPECT_EQ(static_cast<int64_t>(MirrorTriangles(mirror)),
             static_cast<int64_t>(base_count) + snap->triangle_delta);
+}
+
+TEST(StreamingService, MutationReadsUsePagesQueriesCached) {
+  // A batch's base-adjacency reads go through the shared pool under the
+  // graph's owner tag, so the pages a COUNT just loaded serve the
+  // mutation without another device read.
+  const uint64_t seed = SoakSeed();
+  SCOPED_TRACE(ReproLine(seed));
+  ThrottledEnv counting(Env::Default(), 0);
+  const CSRGraph g = GenerateErdosRenyi(80, 400, seed);
+  ServiceFixture service(&counting, g, "pool_reads");
+  ASSERT_EQ(service.Count(), OracleCount(g));
+
+  std::set<EdgePair> mirror = EdgeSetOf(g);
+  std::vector<Edge> batch;
+  for (VertexId v = 1; v < g.num_vertices() && batch.size() < 8; ++v) {
+    if (mirror.count({0, v}) == 0) batch.push_back({0, v});
+  }
+  ASSERT_EQ(batch.size(), 8u);
+  for (const Edge& e : batch) mirror.insert(Canonical(e.first, e.second));
+
+  BufferPool* pool = service.registry->pool();
+  const uint64_t reads_before = counting.stats().reads.load();
+  const uint64_t lookups_before = pool->stats().lookups.load();
+  const MutationResult result =
+      service.scheduler->ApplyDelta("g", DeltaKind::kAdd, batch);
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  EXPECT_EQ(counting.stats().reads.load(), reads_before);
+  EXPECT_GT(pool->stats().lookups.load(), lookups_before);
+  EXPECT_EQ(result.batch_triangle_delta,
+            static_cast<int64_t>(MirrorTriangles(mirror)) -
+                static_cast<int64_t>(OracleCount(g)));
+}
+
+TEST(StreamingService, BatchAppliesWhenEveryPoolFrameIsPinned) {
+  // The registry reserves its own frames for each batch, so queries
+  // pinning the whole pool cannot make a mutation's Fetch fail with
+  // ResourceExhausted.
+  const CSRGraph g = DiamondGraph();
+  ServiceFixture service(Env::Default(), g, "pinned",
+                         {.min_pool_frames = 1});
+  BufferPool* pool = service.registry->pool();
+  ASSERT_NE(pool, nullptr);
+  FrameReservation hog(pool, 4);
+  constexpr uint32_t kOtherOwner = 0xFFFF;  // no registered graph's tag
+  std::vector<Frame*> pinned;
+  for (uint32_t pid = 0; pid < pool->num_frames(); ++pid) {
+    auto fetched = pool->Fetch(MakePageKey(kOtherOwner, pid));
+    ASSERT_TRUE(fetched.ok()) << fetched.status().ToString();
+    pool->MarkValid(fetched->frame);
+    pinned.push_back(fetched->frame);
+  }
+  ASSERT_EQ(pool->Fetch(MakePageKey(kOtherOwner, pool->num_frames()))
+                .status()
+                .code(),
+            StatusCode::kResourceExhausted);
+
+  const MutationResult result = service.scheduler->ApplyDelta(
+      "g", DeltaKind::kAdd, std::vector<Edge>{{2, 3}});
+  EXPECT_TRUE(result.status.ok()) << result.status.ToString();
+  EXPECT_EQ(result.batch_triangle_delta, 2);
+  for (Frame* frame : pinned) pool->Unpin(frame);
 }
 
 // ---------------------------------------------------------------------
@@ -759,7 +823,9 @@ TEST(MutationSoak, PersistentFaultsDegradeToUnavailableWithoutApplying) {
   fenv.set_enabled(false);
   const CSRGraph g = DiamondGraph();
   ServiceFixture service(&fenv, g, "degrade");
-  const uint64_t count0 = service.Count();
+  // The base count comes from the oracle: a COUNT here would warm the
+  // shared pool, and the apply would then never touch the faulty device.
+  const uint64_t count0 = OracleCount(g);
   auto handle0 = service.registry->Acquire("g");
   ASSERT_TRUE(handle0.ok());
 
@@ -793,7 +859,8 @@ TEST(StreamingService, ApproxEstimatorTracksInsertStream) {
   // Base graph with no edges worth of overlap: feed fresh edges and the
   // estimator (scoped to streamed edges) stays exact while they fit.
   const CSRGraph g = GenerateErdosRenyi(60, 150, seed);
-  ServiceFixture service(env, g, "approx", /*approx_reservoir=*/4096);
+  ServiceFixture service(env, g, "approx",
+                         {.approx_reservoir_edges = 4096});
 
   std::set<EdgePair> present = EdgeSetOf(g);
   std::set<EdgePair> streamed;
