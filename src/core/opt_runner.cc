@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <deque>
-#include <map>
 #include <optional>
 #include <thread>
 
@@ -121,13 +120,47 @@ void PublishRunStats(const OptRunStats& stats) {
 
 /// One external read unit: a run of consecutive pages covering every
 /// candidate assigned to it (Algorithm 4 groups candidates by page;
-/// adjacency lists spanning pages widen the run, and overlapping runs
-/// are merged so no page is ever read concurrently by two requests).
+/// adjacency lists spanning pages widen the run). Runs sharing a
+/// boundary page merge up to the chunk cap; past it, two neighbouring
+/// chunks share that one page through the pool's Fetch/WaitValid
+/// protocol.
 struct Chunk {
   uint32_t first_pid = 0;
   uint32_t page_count = 0;
   std::vector<VertexId> candidates;
 };
+
+/// Phase B (Algorithm 4): cuts the sorted, unique candidates into chunks
+/// in one pass. Page ids are monotone in vertex id, so a candidate starts
+/// at or after the last page of the chunk before it: it either widens
+/// that chunk, while the run stays within `cap` pages, or starts the next
+/// one, sharing at most that last page. Adds the distinct pages covered
+/// to `*pages`.
+std::vector<Chunk> PlanChunks(const GraphStore& store,
+                              const std::vector<VertexId>& candidates,
+                              uint32_t cap, uint64_t* pages) {
+  std::vector<Chunk> chunks;
+  for (VertexId v : candidates) {
+    const uint32_t first = store.FirstPageOfVertex(v);
+    const uint32_t end = store.LastPageOfVertex(v) + 1;
+    Chunk* prev = chunks.empty() ? nullptr : &chunks.back();
+    const bool shares =
+        prev != nullptr && first < prev->first_pid + prev->page_count;
+    if (shares) {
+      const uint32_t merged =
+          std::max(prev->first_pid + prev->page_count, end) - prev->first_pid;
+      if (merged <= cap) {
+        *pages += merged - prev->page_count;
+        prev->page_count = merged;
+        prev->candidates.push_back(v);
+        continue;
+      }
+    }
+    *pages += end - first - (shares ? 1 : 0);
+    chunks.push_back(Chunk{first, end - first, {v}});
+  }
+  return chunks;
+}
 
 /// All mutable state of one Run(); shared by the worker roles.
 struct RunContext {
@@ -176,7 +209,6 @@ struct RunContext {
   std::atomic<uint64_t> internal_cpu_micros{0};
   std::atomic<uint64_t> external_cpu_micros{0};
   std::atomic<uint64_t> external_pages{0};
-  std::atomic<uint64_t> external_hits{0};
 
   // PMU deltas per phase, folded across iterations and (phase C) across
   // worker threads. Null when collect_perf is off — PerfScope treats a
@@ -323,10 +355,11 @@ void ProcessChunk(RunContext* ctx, Chunk chunk,
                 ",\"pages\":" + std::to_string(chunk.page_count) +
                 ",\"candidates\":" + std::to_string(chunk.candidates.size())
           : std::string());
-  // Frames fetched as in-flight were loaded by a concurrent query
-  // sharing the pool; their validity is published by that query's I/O
-  // workers, never by our completion drain, so this wait always makes
-  // progress.
+  // Frames fetched as in-flight are being loaded by a concurrent query
+  // sharing the pool, or by this run's neighbouring chunk when the two
+  // share a boundary page. Either way the reading I/O worker publishes
+  // their validity, never our completion drain, so this wait always
+  // makes progress.
   OverlapProfiler::SetRole(ThreadRole::kIoWait);
   Status frames_ready;
   for (size_t i = 0; i < frames.size(); ++i) {
@@ -418,8 +451,6 @@ void SubmitChunk(RunContext* ctx, Chunk chunk) {
     ctx->RecordFetch(fetch->outcome, pid);
     if (fetch->outcome == BufferPool::FetchOutcome::kMiss) {
       missing.push_back(i);
-    } else {
-      ctx->external_hits.fetch_add(1, std::memory_order_relaxed);
     }
   }
   ctx->external_pages.fetch_add(missing.size(), std::memory_order_relaxed);
@@ -583,17 +614,23 @@ Status OptRunner::Run(TriangleSink* sink, OptRunStats* stats) {
   OverlapProfiler::ThreadScope main_profile_scope(
       profiler.has_value() ? &*profiler : nullptr, ThreadRole::kInternal);
   RunContext ctx;
-  // m_in + m_ex frames as in the paper; grows per iteration only if a
-  // merged chunk around spanning adjacency lists exceeds m_ex. A shared
-  // pool instead *reserves* that capacity so concurrent queries compose.
+  // Merged chunks are capped so one per worker fits in the in-flight
+  // budget (m_ex), which thus only grows for a record longer than m_ex.
+  // m_in + m_ex frames as in the paper; a shared pool instead *reserves*
+  // that capacity so concurrent queries compose.
+  const uint32_t workers =
+      options_.macro_overlap ? std::max(1u, options_.num_threads) : 1;
+  const uint32_t chunk_cap =
+      std::max(store_->MaxRecordPages(), options_.m_ex / workers);
+  ctx.ext_capacity = std::max(options_.m_ex, store_->MaxRecordPages());
   std::optional<BufferPool> private_pool;
   BufferPool* pool = options_.shared_pool;
   if (pool == nullptr) {
     private_pool.emplace(store_->page_size(),
-                         options_.m_in + options_.m_ex + 2);
+                         options_.m_in + ctx.ext_capacity + 2);
     pool = &*private_pool;
   }
-  FrameReservation reservation(pool, options_.m_in + options_.m_ex + 2);
+  FrameReservation reservation(pool, options_.m_in + ctx.ext_capacity + 2);
   AsyncIoEngine engine(options_.io_queue_depth, options_.io_retry);
 
   ctx.store = store_;
@@ -640,7 +677,6 @@ Status OptRunner::Run(TriangleSink* sink, OptRunStats* stats) {
     ctx.internal_cpu_micros.store(0);
     ctx.external_cpu_micros.store(0);
     ctx.external_pages.store(0);
-    ctx.external_hits.store(0);
 
     for (uint32_t i = 0; i < pages; ++i) {
       const uint32_t pid = ctx.plan.pid_lo + i;
@@ -733,67 +769,21 @@ Status OptRunner::Run(TriangleSink* sink, OptRunStats* stats) {
         ctx.candidates.end());
     iter.candidates = ctx.candidates.size();
 
-    // Group candidates into page-run chunks, merge overlaps, order by
-    // descending page id so the pages nearest the internal area are
-    // loaded last and survive in the pool for the next iteration.
-    std::vector<Chunk> chunks;
-    {
-      std::map<uint32_t, Chunk> by_range;  // keyed by first_pid
-      for (VertexId v : ctx.candidates) {
-        const uint32_t fp = store_->FirstPageOfVertex(v);
-        const uint32_t lp = store_->LastPageOfVertex(v);
-        auto it = by_range.find(fp);
-        if (it == by_range.end()) {
-          Chunk c;
-          c.first_pid = fp;
-          c.page_count = lp - fp + 1;
-          c.candidates.push_back(v);
-          by_range.emplace(fp, std::move(c));
-        } else {
-          it->second.page_count =
-              std::max(it->second.page_count, lp - fp + 1);
-          it->second.candidates.push_back(v);
-        }
-      }
-      // Merge overlapping page ranges (spanning records sharing boundary
-      // pages) so no page has two concurrent in-flight reads.
-      for (auto& [fp, chunk] : by_range) {
-        if (!chunks.empty()) {
-          Chunk& prev = chunks.back();
-          if (fp <= prev.first_pid + prev.page_count - 1) {
-            const uint32_t new_end =
-                std::max(prev.first_pid + prev.page_count,
-                         fp + chunk.page_count);
-            prev.page_count = new_end - prev.first_pid;
-            prev.candidates.insert(prev.candidates.end(),
-                                   chunk.candidates.begin(),
-                                   chunk.candidates.end());
-            continue;
-          }
-        }
-        chunks.push_back(std::move(chunk));
-      }
-      if (options_.backward_external_order) {
-        std::reverse(chunks.begin(), chunks.end());  // descending page id
-      }
+    // Order by descending page id so the pages nearest the internal area
+    // are loaded last and survive in the pool for the next iteration.
+    uint64_t planned_pages = 0;
+    std::vector<Chunk> chunks =
+        PlanChunks(*store_, ctx.candidates, chunk_cap, &planned_pages);
+    if (options_.backward_external_order) {
+      std::reverse(chunks.begin(), chunks.end());
     }
     iter.chunks = chunks.size();
-
-    // The in-flight budget (m_ex) regulates L_now vs L_later; an
-    // oversized merged chunk raises it (and the reserved pool capacity
-    // grows to match).
-    uint32_t largest_chunk = 0;
-    for (const auto& chunk : chunks) {
-      largest_chunk = std::max(largest_chunk, chunk.page_count);
-    }
     {
       std::lock_guard<std::mutex> lock(ctx.later_mutex);
       ctx.later.clear();
-      ctx.ext_capacity = std::max(options_.m_ex, largest_chunk);
       ctx.ext_used = 0;
       for (auto& chunk : chunks) ctx.later.push_back(std::move(chunk));
     }
-    reservation.GrowTo(options_.m_in + ctx.ext_capacity + 2);
     ctx.group_ex.Add(static_cast<uint32_t>(chunks.size()));
     run_stats.serial_seconds +=
         iter.load_seconds + plan_watch.ElapsedSeconds();
@@ -881,7 +871,12 @@ Status OptRunner::Run(TriangleSink* sink, OptRunStats* stats) {
     iter.external_cpu_seconds =
         static_cast<double>(ctx.external_cpu_micros.load()) * 1e-6;
     iter.external_pages = ctx.external_pages.load();
-    iter.external_cache_hits = ctx.external_hits.load();
+    // Δex counts each page once: a boundary page two chunks pin is one
+    // page, and an aborted iteration's dropped chunks saved nothing.
+    if (!ctx.aborted()) {
+      iter.external_cache_hits =
+          planned_pages - std::min(planned_pages, iter.external_pages);
+    }
     iter.intersect = IntersectCounters::Delta(SnapshotIntersectCounters(),
                                               intersect_start);
     run_stats.intersect.Accumulate(iter.intersect);

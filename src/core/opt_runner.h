@@ -32,6 +32,8 @@ struct OptOptions {
   uint32_t m_in = 0;
   /// External-area size in pages (m_ex): caps concurrently in-flight
   /// external read requests (the L_now/L_later split of Algorithm 4).
+  /// A chunk of merged page runs is capped at max(MaxRecordPages(),
+  /// m_ex / num_threads) pages, so one chunk per worker fits.
   uint32_t m_ex = 0;
   /// Total CPU workers in the overlapped phase: 1 main thread, 1
   /// callback thread, and num_threads-2 extra page-parallel workers.
@@ -102,6 +104,8 @@ struct IterationStats {
   uint32_t internal_pages = 0;
   uint32_t internal_cache_hits = 0;   // Δin: pages not re-read (paper §3.3)
   uint64_t external_pages = 0;
+  /// Distinct pages the iteration's chunks cover that were not read (Δex
+  /// saving); a boundary page two chunks share counts once.
   uint64_t external_cache_hits = 0;
   uint64_t candidates = 0;
   uint64_t chunks = 0;

@@ -1,6 +1,8 @@
 #include "core/triangle_sink.h"
 
 #include <algorithm>
+#include <optional>
+#include <utility>
 
 #include "util/coding.h"
 
@@ -46,6 +48,41 @@ std::vector<uint64_t> PerVertexCountSink::Counts() const {
   return out;
 }
 
+namespace {
+
+/// A thread's stripe: the lowest slot free when the thread first emits,
+/// held until the thread exits. Concurrent emitters thus get distinct
+/// stripes, and a worker started later takes over an exited worker's
+/// stripe (with its partly filled block) instead of starting another.
+struct StripeSlot {
+  StripeSlot() {
+    std::lock_guard<std::mutex> lock(registry.mutex);
+    auto free = std::find(registry.used.begin(), registry.used.end(), false);
+    index = static_cast<size_t>(free - registry.used.begin());
+    if (free == registry.used.end()) {
+      registry.used.push_back(true);
+    } else {
+      *free = true;
+    }
+  }
+  ~StripeSlot() {
+    std::lock_guard<std::mutex> lock(registry.mutex);
+    registry.used[index] = false;
+  }
+  StripeSlot(const StripeSlot&) = delete;
+  StripeSlot& operator=(const StripeSlot&) = delete;
+
+  struct Registry {
+    std::mutex mutex;
+    std::vector<bool> used;  // guarded by mutex
+  };
+  // Never destroyed: threads may exit after static destruction starts.
+  static inline Registry& registry = *new Registry;
+  size_t index = 0;
+};
+
+}  // namespace
+
 ListingSink::ListingSink(Env* env, std::string path, size_t flush_threshold,
                          bool asynchronous)
     : env_(env), path_(std::move(path)), flush_threshold_(flush_threshold),
@@ -54,10 +91,10 @@ ListingSink::ListingSink(Env* env, std::string path, size_t flush_threshold,
   if (file.ok()) {
     file_ = std::move(file.value());
   } else {
-    std::lock_guard<std::mutex> lock(status_mutex_);
     write_status_ = file.status();
   }
   if (asynchronous_) {
+    for (size_t i = 0; i < kSpareBlocks; ++i) spare_blocks_.Push({});
     writer_ = std::thread([this] { WriterLoop(); });
   }
 }
@@ -69,78 +106,90 @@ ListingSink::~ListingSink() {
 
 void ListingSink::Emit(VertexId u, VertexId v, std::span<const VertexId> ws) {
   if (ws.empty()) return;
+  thread_local const StripeSlot slot;
+  Stripe& stripe = stripes_[slot.index % kStripes];
+
   char header[12];
   EncodeFixed32(header, u);
   EncodeFixed32(header + 4, v);
   EncodeFixed32(header + 8, static_cast<uint32_t>(ws.size()));
-  std::string block_to_flush;
+  const size_t record = sizeof(header) + ws.size() * sizeof(VertexId);
+  std::string full;
   {
-    std::lock_guard<std::mutex> lock(mutex_);
-    buffer_.append(header, sizeof(header));
-    buffer_.append(reinterpret_cast<const char*>(ws.data()),
-                   ws.size() * sizeof(VertexId));
-    if (buffer_.size() >= flush_threshold_) {
-      block_to_flush.swap(buffer_);
+    std::lock_guard<std::mutex> lock(stripe.mutex);
+    // Hand the block off before a record would overflow it, so a block
+    // never outgrows the capacity reserved for it.
+    if (!stripe.buffer.empty() &&
+        stripe.buffer.size() + record > flush_threshold_) {
+      if (asynchronous_) {
+        // Waits for the writer when every spare block is queued behind
+        // the device; the spare queue is never closed.
+        full = std::exchange(stripe.buffer, *spare_blocks_.Pop());
+      } else {
+        WriteBlock(stripe.buffer);
+        stripe.buffer.clear();
+      }
     }
+    stripe.buffer.reserve(flush_threshold_);
+    stripe.buffer.append(header, sizeof(header));
+    stripe.buffer.append(reinterpret_cast<const char*>(ws.data()),
+                         ws.size() * sizeof(VertexId));
+    stripe.triangles.store(
+        stripe.triangles.load(std::memory_order_relaxed) + ws.size(),
+        std::memory_order_relaxed);
   }
-  triangles_.fetch_add(ws.size(), std::memory_order_relaxed);
-  if (!block_to_flush.empty()) {
-    if (asynchronous_) {
-      blocks_.Push(std::move(block_to_flush));
-    } else {
-      WriteBlock(block_to_flush);
-    }
+  if (!full.empty()) full_blocks_.Push(std::move(full));
+}
+
+uint64_t ListingSink::triangles_written() const {
+  uint64_t total = 0;
+  for (const Stripe& stripe : stripes_) {
+    total += stripe.triangles.load(std::memory_order_relaxed);
   }
+  return total;
 }
 
 void ListingSink::WriteBlock(const std::string& block) {
-  if (file_ == nullptr) return;
-  Status s = file_->Append(Slice(block));
-  if (!s.ok()) {
-    std::lock_guard<std::mutex> lock(status_mutex_);
-    if (write_status_.ok()) write_status_ = s;
-    return;
+  std::lock_guard<std::mutex> lock(write_mutex_);
+  if (file_ == nullptr || !write_status_.ok()) return;
+  write_status_ = file_->Append(Slice(block));
+  if (write_status_.ok()) {
+    bytes_written_.fetch_add(block.size(), std::memory_order_relaxed);
   }
-  bytes_written_.fetch_add(block.size(), std::memory_order_relaxed);
 }
 
 Status ListingSink::Finish() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (finished_) {
-      std::lock_guard<std::mutex> status_lock(status_mutex_);
-      return write_status_;
-    }
+  std::lock_guard<std::mutex> finish_lock(finish_mutex_);
+  if (!finished_) {
     finished_ = true;
-    if (!buffer_.empty()) {
-      std::string tail;
-      tail.swap(buffer_);
+    for (Stripe& stripe : stripes_) {
+      std::lock_guard<std::mutex> lock(stripe.mutex);
+      if (stripe.buffer.empty()) continue;
       if (asynchronous_) {
-        blocks_.Push(std::move(tail));
+        full_blocks_.Push(std::exchange(stripe.buffer, std::string()));
       } else {
-        WriteBlock(tail);
+        WriteBlock(stripe.buffer);
+        stripe.buffer = std::string();
       }
     }
-  }
-  blocks_.Close();
-  if (writer_.joinable()) writer_.join();
-  if (file_ != nullptr) {
-    Status s = file_->Sync();
-    if (s.ok()) s = file_->Close();
-    if (!s.ok()) {
-      std::lock_guard<std::mutex> lock(status_mutex_);
+    full_blocks_.Close();
+    if (writer_.joinable()) writer_.join();
+    std::lock_guard<std::mutex> lock(write_mutex_);
+    if (file_ != nullptr) {
+      Status s = file_->Sync();
+      if (s.ok()) s = file_->Close();
       if (write_status_.ok()) write_status_ = s;
     }
   }
-  std::lock_guard<std::mutex> lock(status_mutex_);
+  std::lock_guard<std::mutex> lock(write_mutex_);
   return write_status_;
 }
 
 void ListingSink::WriterLoop() {
-  for (;;) {
-    auto block = blocks_.Pop();
-    if (!block.has_value()) return;
+  while (std::optional<std::string> block = full_blocks_.Pop()) {
     WriteBlock(*block);
+    block->clear();
+    spare_blocks_.Push(std::move(*block));
   }
 }
 

@@ -79,15 +79,24 @@ class PerVertexCountSink : public TriangleSink {
 /// Streams the nested representation to a file through a background
 /// writer thread — the paper's asynchronous bulk output writing (§5.2).
 /// Record format (binary, little-endian u32): u, v, k, w1..wk.
+///
+/// Each emitting thread appends to its own one of kStripes buffers, so
+/// up to kStripes concurrent workers never share a lock. A buffer is
+/// handed to the writer whole, so records never interleave; their order
+/// across threads is unspecified. The writer recycles a fixed set of
+/// kSpareBlocks blocks: when all of them wait for the device, an emitter
+/// with a full buffer waits too, instead of growing memory.
 class ListingSink : public TriangleSink {
  public:
-  /// Buffers `flush_threshold` bytes before handing a block to the
-  /// writer thread. With `asynchronous` false the flush happens inline
-  /// on the emitting thread — the synchronous bulk-write mode the
+  /// Buffers `flush_threshold` bytes per stripe before handing a block
+  /// to the writer thread. With `asynchronous` false the flush happens
+  /// inline on the emitting thread — the synchronous bulk-write mode the
   /// paper's competitors use in the Table 3 experiment.
   ListingSink(Env* env, std::string path, size_t flush_threshold = 1 << 20,
               bool asynchronous = true);
   ~ListingSink() override;
+  ListingSink(const ListingSink&) = delete;
+  ListingSink& operator=(const ListingSink&) = delete;
 
   void Emit(VertexId u, VertexId v, std::span<const VertexId> ws) override;
   Status Finish() override;
@@ -95,11 +104,18 @@ class ListingSink : public TriangleSink {
   uint64_t bytes_written() const {
     return bytes_written_.load(std::memory_order_relaxed);
   }
-  uint64_t triangles_written() const {
-    return triangles_.load(std::memory_order_relaxed);
-  }
+  uint64_t triangles_written() const;
 
  private:
+  static constexpr size_t kStripes = 16;
+  static constexpr size_t kSpareBlocks = 4;
+
+  struct alignas(64) Stripe {
+    std::mutex mutex;
+    std::string buffer;                  // guarded by mutex
+    std::atomic<uint64_t> triangles{0};  // written under mutex
+  };
+
   void WriterLoop();
   void WriteBlock(const std::string& block);
 
@@ -108,16 +124,18 @@ class ListingSink : public TriangleSink {
   size_t flush_threshold_;
   bool asynchronous_;
 
-  std::mutex mutex_;          // guards buffer_
-  std::string buffer_;
-  BlockingQueue<std::string> blocks_;
-  std::thread writer_;
+  Stripe stripes_[kStripes];
+  BlockingQueue<std::string> full_blocks_;   // to the writer
+  BlockingQueue<std::string> spare_blocks_;  // back from the writer
+
+  std::mutex write_mutex_;  // guards file_ and write_status_
   std::unique_ptr<WritableFile> file_;
   Status write_status_;
-  std::mutex status_mutex_;
   std::atomic<uint64_t> bytes_written_{0};
-  std::atomic<uint64_t> triangles_{0};
+
+  std::mutex finish_mutex_;  // guards finished_
   bool finished_ = false;
+  std::thread writer_;
 };
 
 /// Fans out to several sinks (e.g. counting + listing).

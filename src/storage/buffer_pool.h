@@ -211,12 +211,6 @@ struct FrameReservation {
   ~FrameReservation() { pool->ReleaseFrames(n); }
   FrameReservation(const FrameReservation&) = delete;
   FrameReservation& operator=(const FrameReservation&) = delete;
-  void GrowTo(uint32_t total) {
-    if (total > n) {
-      pool->ReserveFrames(total - n);
-      n = total;
-    }
-  }
 };
 
 }  // namespace opt
