@@ -14,9 +14,11 @@ void EdgeIteratorInMemory(const CSRGraph& g, TriangleSink* sink,
     const auto u = static_cast<VertexId>(u_index);
     std::vector<VertexId> ws;
     const auto succ_u = g.Successors(u);
-    for (VertexId v : succ_u) {
+    for (size_t i = 0; i < succ_u.size(); ++i) {
+      const VertexId v = succ_u[i];
       ws.clear();
-      Intersect(succ_u, g.Successors(v), &ws);
+      // n_succ(v) holds only ids above v: skip succ_u[0..i].
+      Intersect(succ_u.subspan(i + 1), g.Successors(v), &ws);
       if (!ws.empty()) sink->Emit(u, v, ws);
     }
   });

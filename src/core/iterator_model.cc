@@ -16,11 +16,13 @@ void EdgeIteratorModel::InternalTriangles(const PageRangeView& internal,
                                           ModelScratch* scratch) const {
   const AdjacencyRef au = internal.Get(u);
   const auto succ_u = au.succ();
-  for (VertexId v : succ_u) {
+  for (size_t i = 0; i < succ_u.size(); ++i) {
+    const VertexId v = succ_u[i];
     if (v > plan.v_hi) break;  // sorted: the rest are external pairs
     const AdjacencyRef av = internal.Get(v);
     scratch->intersection.clear();
-    Intersect(succ_u, av.succ(), &scratch->intersection);
+    // Every w in n_succ(v) exceeds v, so succ_u[0..i] cannot match.
+    Intersect(succ_u.subspan(i + 1), av.succ(), &scratch->intersection);
     if (!scratch->intersection.empty()) {
       sink->Emit(u, v, scratch->intersection);
     }
@@ -52,10 +54,14 @@ void EdgeIteratorModel::ExternalTriangles(const PageRangeView& internal,
   const auto succ_v = external_adj.succ();
   for (auto it = lo; it != hi; ++it) {
     const VertexId u = *it;
-    const AdjacencyRef au = internal.Get(u);
+    const auto succ_u = internal.Get(u).succ();
     scratch->intersection.clear();
-    // Algorithm 10: W_uv = n_succ(u) ∩ n_succ(v).
-    Intersect(au.succ(), succ_v, &scratch->intersection);
+    // Algorithm 10: W_uv = n_succ(u) ∩ n_succ(v). Every w in n_succ(v)
+    // exceeds v, so n_succ(u) is searched from past v only.
+    const auto past_v =
+        std::upper_bound(succ_u.begin(), succ_u.end(), external_vertex);
+    Intersect(succ_u.subspan(static_cast<size_t>(past_v - succ_u.begin())),
+              succ_v, &scratch->intersection);
     if (!scratch->intersection.empty()) {
       sink->Emit(u, external_vertex, scratch->intersection);
     }

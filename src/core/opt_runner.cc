@@ -430,8 +430,13 @@ void SubmitChunk(RunContext* ctx, Chunk chunk) {
   state->ctx = ctx;
   state->frames.resize(chunk.page_count, nullptr);
 
+  // Fetch in the queue's page order: under the backward order the page
+  // this chunk shares with the one submitted just before is its last
+  // page, so it is pinned first, before this chunk's misses can evict it.
+  const bool backward = ctx->options.backward_external_order;
   std::vector<uint32_t> missing;
-  for (uint32_t i = 0; i < chunk.page_count; ++i) {
+  for (uint32_t n = 0; n < chunk.page_count; ++n) {
+    const uint32_t i = backward ? chunk.page_count - 1 - n : n;
     const uint32_t pid = chunk.first_pid + i;
     auto fetch = ctx->pool->Fetch(ctx->Key(pid));
     if (!fetch.ok()) {
@@ -439,7 +444,9 @@ void SubmitChunk(RunContext* ctx, Chunk chunk) {
       // Roll back: owned misses must be published as failed before the
       // pin drops, or concurrent waiters would hang on them forever.
       for (uint32_t j : missing) ctx->pool->MarkFailed(state->frames[j]);
-      for (uint32_t j = 0; j < i; ++j) ctx->pool->Unpin(state->frames[j]);
+      for (Frame* f : state->frames) {
+        if (f != nullptr) ctx->pool->Unpin(f);
+      }
       {
         std::lock_guard<std::mutex> lock(ctx->later_mutex);
         ctx->ext_used -= chunk.page_count;

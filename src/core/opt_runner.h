@@ -37,7 +37,10 @@ struct OptOptions {
   uint32_t m_ex = 0;
   /// Total CPU workers in the overlapped phase: 1 main thread, 1
   /// callback thread, and num_threads-2 extra page-parallel workers.
-  /// Ignored (treated as 1) when macro_overlap is false.
+  /// With macro_overlap the main and callback threads always run, so 1
+  /// and 2 both mean 2 workers (a "single-threaded" run, such as the
+  /// baseline of perfbench's core.thread_speedup, uses 2). Ignored
+  /// (treated as 1) when macro_overlap is false.
   uint32_t num_threads = 2;
   /// False selects OPT_serial: the external triangulation runs after the
   /// internal triangulation on the single main thread. The micro-level

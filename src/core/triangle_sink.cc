@@ -81,7 +81,34 @@ struct StripeSlot {
   size_t index = 0;
 };
 
+/// This thread's stripe among `stripes`.
+size_t ThisThreadStripe(size_t stripes) {
+  thread_local const StripeSlot slot;
+  return slot.index % stripes;
+}
+
 }  // namespace
+
+void CountingSink::Emit(VertexId, VertexId, std::span<const VertexId> ws) {
+  // A stripe is shared only when more than kStripes threads emit at
+  // once, so this read-modify-write is almost never contended.
+  stripes_[ThisThreadStripe(kStripes)].count.fetch_add(
+      ws.size(), std::memory_order_relaxed);
+}
+
+uint64_t CountingSink::count() const {
+  uint64_t total = 0;
+  for (const Stripe& stripe : stripes_) {
+    total += stripe.count.load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
+void CountingSink::Reset() {
+  for (Stripe& stripe : stripes_) {
+    stripe.count.store(0, std::memory_order_relaxed);
+  }
+}
 
 ListingSink::ListingSink(Env* env, std::string path, size_t flush_threshold,
                          bool asynchronous)
@@ -106,8 +133,7 @@ ListingSink::~ListingSink() {
 
 void ListingSink::Emit(VertexId u, VertexId v, std::span<const VertexId> ws) {
   if (ws.empty()) return;
-  thread_local const StripeSlot slot;
-  Stripe& stripe = stripes_[slot.index % kStripes];
+  Stripe& stripe = stripes_[ThisThreadStripe(kStripes)];
 
   char header[12];
   EncodeFixed32(header, u);

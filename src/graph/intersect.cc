@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <cstring>
 #include <mutex>
 #include <utility>
 
@@ -60,8 +61,14 @@ struct ThreadCounterSlot {
 inline void CountCall(IntersectKernel kernel, size_t elements) {
   thread_local ThreadCounterSlot slot;
   const int k = static_cast<int>(kernel);
-  slot.cell.calls[k].fetch_add(1, std::memory_order_relaxed);
-  slot.cell.elements[k].fetch_add(elements, std::memory_order_relaxed);
+  // Only the owning thread writes its cell: a relaxed load + store is
+  // enough, and avoids a locked read-modify-write per call.
+  std::atomic<uint64_t>& calls = slot.cell.calls[k];
+  std::atomic<uint64_t>& elems = slot.cell.elements[k];
+  calls.store(calls.load(std::memory_order_relaxed) + 1,
+              std::memory_order_relaxed);
+  elems.store(elems.load(std::memory_order_relaxed) + elements,
+              std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -72,18 +79,46 @@ inline void CountCall(IntersectKernel kernel, size_t elements) {
 struct CountEmitter {
   uint64_t count = 0;
   void Emit(VertexId) { ++count; }
+  template <int kLanes>
   void EmitPacked(const VertexId*, int n) {
     count += static_cast<uint64_t>(n);
   }
 };
 
-struct AppendEmitter {
-  std::vector<VertexId>* out;
-  void Emit(VertexId v) { out->push_back(v); }
+/// Largest SIMD block (AVX2 lanes). A block's matches are written as one
+/// fixed kLanes-wide copy, so the destination needs this much slack past
+/// the last real match.
+constexpr size_t kBlockSlack = 8;
+
+/// Writes matches through a raw cursor into storage that WriteMatches
+/// sized in advance; no capacity check per match.
+struct WriteEmitter {
+  VertexId* pos;
+  void Emit(VertexId v) { *pos++ = v; }
+  template <int kLanes>
   void EmitPacked(const VertexId* packed, int n) {
-    out->insert(out->end(), packed, packed + n);
+    static_assert(kLanes <= static_cast<int>(kBlockSlack));
+    std::memcpy(pos, packed, kLanes * sizeof(VertexId));
+    pos += n;
   }
 };
+
+/// Appends the matches `run(emit)` produces to *out and returns their
+/// count. a ∩ b has at most min(|a|, |b|) elements (duplicates included),
+/// so sizing *out once to that plus one block of slack bounds every
+/// write; *out is then trimmed to the exact count.
+template <class Run>
+size_t WriteMatches(std::span<const VertexId> a, std::span<const VertexId> b,
+                    std::vector<VertexId>* out, Run run) {
+  const size_t before = out->size();
+  out->resize(before + std::min(a.size(), b.size()) + kBlockSlack);
+  VertexId* const first = out->data() + before;
+  WriteEmitter emit{first};
+  run(emit);
+  const size_t added = static_cast<size_t>(emit.pos - first);
+  out->resize(before + added);
+  return added;
+}
 
 // ---------------------------------------------------------------------------
 // Scalar kernels.
@@ -322,7 +357,8 @@ __attribute__((target("sse4.1"))) void MergeSse(std::span<const VertexId> a,
                     compact.shuffle[mask])));
         alignas(16) VertexId tmp[4];
         _mm_store_si128(reinterpret_cast<__m128i*>(tmp), packed);
-        emit.EmitPacked(tmp, __builtin_popcount(static_cast<unsigned>(mask)));
+        emit.template EmitPacked<4>(
+            tmp, __builtin_popcount(static_cast<unsigned>(mask)));
       }
       const VertexId a_max = pa[i + 3], b_max = pb[j + 3];
       if (a_max <= b_max) i += 4;
@@ -367,7 +403,8 @@ __attribute__((target("avx2"))) void MergeAvx2(std::span<const VertexId> a,
         const __m256i packed = _mm256_permutevar8x32_epi32(va, idx);
         alignas(32) VertexId tmp[8];
         _mm256_store_si256(reinterpret_cast<__m256i*>(tmp), packed);
-        emit.EmitPacked(tmp, __builtin_popcount(static_cast<unsigned>(mask)));
+        emit.template EmitPacked<8>(
+            tmp, __builtin_popcount(static_cast<unsigned>(mask)));
       }
       const VertexId a_max = pa[i + 7], b_max = pb[j + 7];
       if (a_max <= b_max) i += 8;
@@ -583,20 +620,18 @@ IntersectCounters SnapshotIntersectCounters() {
 size_t IntersectMergeWith(IntersectKernel kernel, std::span<const VertexId> a,
                           std::span<const VertexId> b,
                           std::vector<VertexId>* out) {
-  AppendEmitter emit{out};
-  const size_t before = out->size();
-  MergeDispatch(ResolveKernel(kernel), a, b, emit);
-  return out->size() - before;
+  return WriteMatches(a, b, out, [&](WriteEmitter& emit) {
+    MergeDispatch(ResolveKernel(kernel), a, b, emit);
+  });
 }
 
 size_t IntersectGallopingWith(IntersectKernel kernel,
                               std::span<const VertexId> a,
                               std::span<const VertexId> b,
                               std::vector<VertexId>* out) {
-  AppendEmitter emit{out};
-  const size_t before = out->size();
-  GallopDispatch(ResolveKernel(kernel), a, b, emit);
-  return out->size() - before;
+  return WriteMatches(a, b, out, [&](WriteEmitter& emit) {
+    GallopDispatch(ResolveKernel(kernel), a, b, emit);
+  });
 }
 
 uint64_t IntersectCountMergeWith(IntersectKernel kernel,
@@ -633,10 +668,8 @@ size_t IntersectGalloping(std::span<const VertexId> a,
 size_t IntersectHash(std::span<const VertexId> a, std::span<const VertexId> b,
                      std::vector<VertexId>* out) {
   CountCall(IntersectKernel::kScalar, a.size() + b.size());
-  AppendEmitter emit{out};
-  const size_t before = out->size();
-  HashGeneric(a, b, emit);
-  return out->size() - before;
+  return WriteMatches(a, b, out,
+                      [&](WriteEmitter& emit) { HashGeneric(a, b, emit); });
 }
 
 uint64_t IntersectCountMerge(std::span<const VertexId> a,

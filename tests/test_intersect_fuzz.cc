@@ -3,9 +3,10 @@
 // std::set_intersection oracle, over adversarial inputs: empty lists,
 // singletons, all-equal lists, no-overlap interleavings, duplicates at
 // SIMD block boundaries, lengths straddling register tails (7/8/9,
-// 15/16/17), unsigned values above INT32_MAX, and heavily skewed size
-// ratios. Also covers the dispatch table itself (parse/set/active and
-// the per-kernel counters).
+// 15/16/17), unsigned values above INT32_MAX, heavily skewed size
+// ratios, and output appended after elements already present. Also
+// covers the dispatch table itself (parse/set/active and the
+// per-kernel counters).
 #include "graph/intersect.h"
 
 #include <gtest/gtest.h>
@@ -178,6 +179,60 @@ TEST(IntersectFuzzTest, HeavilySkewedSizeRatios) {
                             static_cast<uint32_t>(rng.Uniform(20)));
     CheckAllVariants(a, b, "skewed-small-large");
     CheckAllVariants(b, a, "skewed-large-small");
+  }
+}
+
+TEST(IntersectFuzzTest, AppendsAfterExistingElements) {
+  // Every materializing entry point appends to an *out that already
+  // holds elements: the prefix survives, the return value counts only
+  // the new matches and the final size is exact. min(|a|, |b|) sweeps
+  // 0..17, so the one-block slack past the matches is crossed.
+  const std::vector<VertexId> prefix = {0xFFFFFFF0u, 7, 0xFFFFFFF1u};
+  Random64 rng(31);
+  for (size_t small = 0; small <= 17; ++small) {
+    for (size_t large : {small, small + 1, small + 9, 16 * small + 20}) {
+      // max_step 1 makes every element of the shorter list match.
+      for (uint32_t max_step : {1u, 4u}) {
+        const auto a = MakeList(&rng, small, max_step, /*dup_percent=*/0);
+        const auto b = MakeList(&rng, large, max_step, /*dup_percent=*/0);
+        const std::vector<VertexId> matches = Oracle(a, b);
+        std::vector<VertexId> expected = prefix;
+        expected.insert(expected.end(), matches.begin(), matches.end());
+        auto check = [&](const std::string& name, auto intersect) {
+          for (bool swapped : {false, true}) {
+            const std::string tag =
+                name + " |a|=" + std::to_string(swapped ? large : small) +
+                " |b|=" + std::to_string(swapped ? small : large) +
+                " step=" + std::to_string(max_step);
+            std::vector<VertexId> out = prefix;
+            const size_t added =
+                swapped ? intersect(b, a, &out) : intersect(a, b, &out);
+            ASSERT_EQ(added, matches.size()) << tag;
+            ASSERT_EQ(out.size(), expected.size()) << tag;
+            ASSERT_EQ(out, expected) << tag;
+          }
+        };
+        for (IntersectKernel kernel : kAllKernels) {
+          const std::string k = IntersectKernelName(kernel);
+          check("merge/" + k, [kernel](const auto& x, const auto& y,
+                                       std::vector<VertexId>* out) {
+            return IntersectMergeWith(kernel, x, y, out);
+          });
+          check("gallop/" + k, [kernel](const auto& x, const auto& y,
+                                        std::vector<VertexId>* out) {
+            return IntersectGallopingWith(kernel, x, y, out);
+          });
+        }
+        check("hash", [](const auto& x, const auto& y,
+                         std::vector<VertexId>* out) {
+          return IntersectHash(x, y, out);
+        });
+        check("adaptive", [](const auto& x, const auto& y,
+                             std::vector<VertexId>* out) {
+          return Intersect(x, y, out);
+        });
+      }
+    }
   }
 }
 

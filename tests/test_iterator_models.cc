@@ -9,9 +9,11 @@
 #include <algorithm>
 
 #include "core/iterator_model.h"
+#include "core/opt_runner.h"
 #include "core/page_range_view.h"
 #include "core/triangle_sink.h"
 #include "graph/builder.h"
+#include "graph/intersect.h"
 #include "storage/graph_store.h"
 #include "test_helpers.h"
 
@@ -180,6 +182,45 @@ TEST_F(ModelFixture, FullResidencyFindsEverythingInternally) {
     EXPECT_EQ(sink.Sorted(), testutil::OracleTriangles(graph_))
         << model->name();
     EXPECT_TRUE(candidates.empty()) << model->name();
+  }
+}
+
+TEST(EdgeIteratorWedge, CliqueConsumesOnlyMatchingElements) {
+  // On K_n every w in n_succ(v) is also in n_succ(u) past v, so a wedge
+  // trimmed to n_succ(u)[past v] intersects two equal lists: each
+  // element consumed is a match, and the run consumes exactly two per
+  // triangle, 2 * C(n, 3). Untrimmed, n_succ(u) also brings the ids up
+  // to v, which cannot match.
+  constexpr VertexId kN = 40;
+  GraphBuilder b;
+  for (VertexId u = 0; u < kN; ++u) {
+    for (VertexId v = u + 1; v < kN; ++v) b.AddEdge(u, v);
+  }
+  const CSRGraph g = std::move(b).Build();
+  const uint64_t triangles = uint64_t{kN} * (kN - 1) * (kN - 2) / 6;
+  auto store = testutil::MakeStore(g, Env::Default(), "clique", 256);
+  const uint32_t mrp = store->MaxRecordPages();
+  EdgeIteratorModel model;
+  // A buffer that holds the whole graph (one iteration, all internal)
+  // and one that forces several iterations (most wedges external).
+  for (uint32_t m_in : {store->num_pages(), std::max(mrp, 2u)}) {
+    for (uint32_t threads : {1u, 4u}) {
+      SCOPED_TRACE("m_in=" + std::to_string(m_in) +
+                   " threads=" + std::to_string(threads));
+      OptOptions options;
+      options.m_in = m_in;
+      options.m_ex = std::max(mrp, 2u);
+      options.num_threads = threads;
+      OptRunner runner(store.get(), &model, options);
+      CountingSink sink;
+      OptRunStats stats;
+      ASSERT_TRUE(runner.Run(&sink, &stats).ok());
+      EXPECT_EQ(sink.count(), triangles);
+      if (m_in < store->num_pages()) {
+        EXPECT_GT(stats.iterations, 1u);
+      }
+      EXPECT_EQ(stats.intersect.TotalElements(), 2 * triangles);
+    }
   }
 }
 

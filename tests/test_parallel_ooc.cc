@@ -1,11 +1,12 @@
 // Tests for the parallel out-of-core path: how phase B cuts external
 // chunks against the buffer, how their shared boundary pages are
-// accounted, and the striped ListingSink under concurrent emitters. The
-// suite carries the sanitize label, so the sanitize and tsan presets run
-// the concurrent paths.
+// accounted, and the striped ListingSink and CountingSink under
+// concurrent emitters. The suite carries the sanitize label, so the
+// sanitize and tsan presets run the concurrent paths.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <set>
 #include <thread>
@@ -18,6 +19,7 @@
 #include "gen/rmat.h"
 #include "graph/reorder.h"
 #include "storage/buffer_pool.h"
+#include "util/random.h"
 #include "test_helpers.h"
 
 namespace opt {
@@ -178,6 +180,35 @@ INSTANTIATE_TEST_SUITE_P(Modes, ListingSinkConcurrency, ::testing::Bool(),
                            return std::string(info.param ? "Asynchronous"
                                                          : "Synchronous");
                          });
+
+TEST(CountingSinkConcurrency, StripedCountIsExactAndResets) {
+  constexpr int kEmitters = 8;
+  constexpr int kSpansPerEmitter = 4000;
+  const std::vector<VertexId> ws(64, 1);
+  CountingSink sink;
+  // Two rounds: the second round's threads take over the stripe slots
+  // the first round's threads released on exit.
+  for (int round = 0; round < 2; ++round) {
+    std::atomic<uint64_t> expected{0};
+    std::vector<std::thread> emitters;
+    for (int t = 0; t < kEmitters; ++t) {
+      emitters.emplace_back([&, t] {
+        Random64 rng(static_cast<uint64_t>(round * kEmitters + t + 1));
+        uint64_t emitted = 0;
+        for (int r = 0; r < kSpansPerEmitter; ++r) {
+          const size_t len = rng.Uniform(ws.size() + 1);
+          sink.Emit(0, 1, std::span<const VertexId>(ws.data(), len));
+          emitted += len;
+        }
+        expected.fetch_add(emitted);
+      });
+    }
+    for (auto& e : emitters) e.join();
+    EXPECT_EQ(sink.count(), expected.load()) << "round " << round;
+    sink.Reset();
+    EXPECT_EQ(sink.count(), 0u) << "round " << round;
+  }
+}
 
 }  // namespace
 }  // namespace opt
